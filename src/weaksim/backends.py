@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import InputError
+
 Value = Union[Fraction, float]
 
 DEFAULT_EPSILON = 1e-9
@@ -25,11 +27,12 @@ def parse_exact(text) -> Fraction:
     """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        if isinstance(text, (int, float)):
+            return Fraction(text)
+        return Fraction(str(text).strip())
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"not an exact number: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,10 @@ class FloatBackend:
     kind = "float"
 
     def coerce(self, v) -> float:
-        return float(v)
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            raise InputError(f"not a number: {v!r}") from None
 
     def eq(self, a, b) -> bool:
         a = float(a)

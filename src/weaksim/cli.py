@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (mfind, menum, mclassify, mverify, mfact):
         sp.add_argument("--x", required=True, help="source space file")
         sp.add_argument("--y", required=True, help="target space file")
-        common(sp)
+        common(sp, out=sp not in (menum, mverify))
     menum.add_argument("--limit", type=int, default=10_000, help="0 means unbounded")
     mverify.add_argument("--in", dest="infile", required=True, help="morphism report file")
     mfact.add_argument(
@@ -464,10 +464,7 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, result = args.handler(ctx, args)
-    except WeaksimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WeaksimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     seconds = time.perf_counter() - start

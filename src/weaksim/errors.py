@@ -5,6 +5,10 @@ class WeaksimError(Exception):
     """Base class for all weaksim errors."""
 
 
+class InputError(WeaksimError, ValueError):
+    """User input (a number, a file, a size) is malformed."""
+
+
 class NotSemimetric(WeaksimError):
     """A matrix violates the semimetric axioms.
 
@@ -88,5 +92,5 @@ class BadSequence(WeaksimError):
     """A family's parameter sequence is not strictly decreasing and positive."""
 
 
-class FormatError(WeaksimError):
+class FormatError(InputError):
     """A space or table file cannot be parsed."""

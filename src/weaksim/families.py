@@ -13,10 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 from typing import Callable
 
 from .backends import RATIONAL, parse_exact
-from .errors import BadSequence
+from .errors import BadSequence, InputError
 from .morphisms import (
     ScalingFunction,
     WeakSimilarity,
@@ -42,17 +44,13 @@ class FamilySpec:
     """Parameters for the paired families.
 
     The sequence callables must be strictly decreasing and positive on
-    1..n; the declared limits are documentation metadata only (no operation
-    branches on them).
+    1..n.
     """
 
     name: str
     n: int
     r: Callable[[int], Fraction] = harmonic
     p: Callable[[int], Fraction] = one_plus_harmonic
-    r_limit: Fraction = Fraction(0)
-    p_limit: Fraction = Fraction(1)
-    seed: int = 0
 
 
 def _sequence(fn: Callable[[int], Fraction], n: int, name: str) -> list[Fraction]:
@@ -64,6 +62,13 @@ def _sequence(fn: Callable[[int], Fraction], n: int, name: str) -> list[Fraction
         if not b < a:
             raise BadSequence(f"sequence {name} must be strictly decreasing")
     return values
+
+
+def _sequences(spec: FamilySpec) -> tuple[list[Fraction], list[Fraction], int]:
+    """Both sequences of a paired family, and the label width for 0..n."""
+    if spec.n < 2:
+        raise InputError("need n >= 2")
+    return _sequence(spec.r, spec.n, "r"), _sequence(spec.p, spec.n, "p"), len(str(spec.n))
 
 
 def _pad(i: int, width: int) -> str:
@@ -79,12 +84,7 @@ def example_2_6(spec: FamilySpec) -> tuple[Space, Space, WeakSimilarity]:
     and pairs the k-th terms of the two sequences.
     """
     n = spec.n
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rs = _sequence(spec.r, n, "r")
-    ps = _sequence(spec.p, n, "p")
-
-    width = len(str(n))
+    rs, ps, width = _sequences(spec)
 
     def comb(prefix: str, seq: list[Fraction]) -> Space:
         labels = [f"{prefix}{_pad(i, width)}" for i in range(n + 1)]
@@ -118,12 +118,7 @@ def example_2_6_star(spec: FamilySpec) -> tuple[Space, Space, WeakSimilarity]:
     target distance to the largest-indexed term.
     """
     n = spec.n
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rs = _sequence(spec.r, n, "r")
-    ps = _sequence(spec.p, n, "p")
-
-    width = len(str(n))
+    rs, ps, width = _sequences(spec)
 
     def paired(prefix: str, seq: list[Fraction]) -> Space:
         labels = [
@@ -155,10 +150,10 @@ def example_2_6_star(spec: FamilySpec) -> tuple[Space, Space, WeakSimilarity]:
 def segment_grid(n: int, length) -> Space:
     """n evenly spaced points on a segment with the absolute-difference metric."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     length = parse_exact(length)
     if length <= 0:
-        raise ValueError("length must be positive")
+        raise InputError("length must be positive")
     h = length / (n - 1)
     width = len(str(n - 1))
     labels = [f"t{_pad(i, width)}" for i in range(n)]
@@ -170,7 +165,7 @@ def snowflake_segment(n: int, p) -> Space:
     """Unit segment grid with distances raised to the power p in (0, 1]."""
     p = parse_exact(p)
     if not 0 < p <= 1:
-        raise ValueError("exponent must lie in (0, 1]")
+        raise InputError("exponent must lie in (0, 1]")
     return snowflake(segment_grid(n, 1), p)
 
 
@@ -179,20 +174,22 @@ def random_metric(n: int, seed: int) -> Space:
     shortest-path completion, so the triangle inequality holds by
     construction.  Bit-identical per seed."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     rng = random.Random(seed)
     width = len(str(max(n - 1, 1)))
     labels = [f"v{_pad(i, width)}" for i in range(n)]
-    m = [[Fraction(0)] * n for _ in range(n)]
+    # draws a/b with b in 1..4 are whole multiples of 1/12: relax in twelfths
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            m[i][j] = m[j][i] = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            a, b = rng.randint(1, 12), rng.randint(1, 4)
+            m[i][j] = m[j][i] = a * (12 // b)
     for k in range(n):
+        row_k = m[k]
         for i in range(n):
-            for j in range(n):
-                if i != j and m[i][k] + m[k][j] < m[i][j]:
-                    m[i][j] = m[i][k] + m[k][j]
-    return new_space(labels, m, RATIONAL)
+            m[i] = list(map(min, m[i], map(add, repeat(m[i][k]), row_k)))
+    twelfths = {v: Fraction(v, 12) for row in m for v in row}
+    return new_space(labels, [[twelfths[v] for v in row] for row in m], RATIONAL)
 
 
 def random_ultrametric(n: int, seed: int) -> Space:
@@ -200,7 +197,7 @@ def random_ultrametric(n: int, seed: int) -> Space:
     two points is the (strictly increasing) height at which their clusters
     merged.  Bit-identical per seed."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     rng = random.Random(seed)
     width = len(str(max(n - 1, 1)))
     labels = [f"v{_pad(i, width)}" for i in range(n)]
@@ -231,27 +228,6 @@ def derive_partner(
     the points per seed; an isometry.  mode "distorted": push the distances
     through a random strictly increasing table; generically not a similarity.
     """
-    if mode == "scaled":
-        r = parse_exact(ratio)
-        if r <= 0:
-            raise ValueError("ratio must be positive")
-        matrix = [[r * v for v in row] for row in space.matrix]
-        partner = new_space(space.labels, matrix, space.backend)
-        mapping = {lab: lab for lab in space.labels}
-        scaling = increasing_bijection(distance_set(partner), distance_set(space))
-        return partner, build_realization(space, partner, mapping, scaling)
-    if mode == "relabeled":
-        rng = random.Random(seed)
-        perm = list(range(space.n))
-        rng.shuffle(perm)
-        matrix = [
-            [space.matrix[perm[i]][perm[j]] for j in range(space.n)]
-            for i in range(space.n)
-        ]
-        partner = new_space(space.labels, matrix, space.backend)
-        mapping = {space.labels[perm[i]]: space.labels[i] for i in range(space.n)}
-        scaling = increasing_bijection(distance_set(partner), distance_set(space))
-        return partner, build_realization(space, partner, mapping, scaling)
     if mode == "distorted":
         rng = random.Random(seed)
         values = distance_set(space).values
@@ -265,4 +241,23 @@ def derive_partner(
         mapping = {lab: lab for lab in space.labels}
         scaling = ScalingFunction(tuple(sorted((fv, a) for a, fv in rows)))
         return partner, build_realization(space, partner, mapping, scaling)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode == "scaled":
+        r = parse_exact(ratio)
+        if r <= 0:
+            raise InputError("ratio must be positive")
+        matrix = [[r * v for v in row] for row in space.matrix]
+        mapping = {lab: lab for lab in space.labels}
+    elif mode == "relabeled":
+        rng = random.Random(seed)
+        perm = list(range(space.n))
+        rng.shuffle(perm)
+        matrix = [
+            [space.matrix[perm[i]][perm[j]] for j in range(space.n)]
+            for i in range(space.n)
+        ]
+        mapping = {space.labels[perm[i]]: space.labels[i] for i in range(space.n)}
+    else:
+        raise InputError(f"unknown mode {mode!r}")
+    partner = new_space(space.labels, matrix, space.backend)
+    scaling = increasing_bijection(distance_set(partner), distance_set(space))
+    return partner, build_realization(space, partner, mapping, scaling)

@@ -59,12 +59,17 @@ def space_to_obj(space: Space) -> dict:
 
 def space_from_obj(obj: dict) -> Space:
     try:
-        labels = obj["labels"]
-        backend = backend_from_obj(obj["backend"])
-        matrix = obj["matrix"]
+        return new_space(obj["labels"], obj["matrix"], backend_from_obj(obj["backend"]))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed space object: {exc}") from exc
-    return new_space(labels, matrix, backend)
+
+
+def _parse_json(text: str):
+    # float literals arrive as their source text and are parsed exactly
+    try:
+        return json.loads(text, parse_float=str)
+    except ValueError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
 
 
 def space_to_json(space: Space) -> str:
@@ -72,9 +77,7 @@ def space_to_json(space: Space) -> str:
 
 
 def space_from_json(text: str) -> Space:
-    # float literals arrive as their source text and are parsed exactly
-    obj = json.loads(text, parse_float=str)
-    return space_from_obj(obj)
+    return space_from_obj(_parse_json(text))
 
 
 def space_to_csv(space: Space) -> str:
@@ -132,8 +135,7 @@ def table_to_json(table: FunctionTable) -> str:
 
 def load_table(path: str) -> FunctionTable:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh, parse_float=str)
-    return table_from_obj(obj)
+        return table_from_obj(_parse_json(fh.read()))
 
 
 def save_table(path: str, table: FunctionTable) -> None:
@@ -178,15 +180,14 @@ def morphism_from_obj(obj: dict, source: Space, target: Space) -> WeakSimilarity
             (target.backend.coerce(t), source.backend.coerce(v))
             for t, v in obj["scaling"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed morphism object: {exc}") from exc
     return build_realization(source, target, mapping, ScalingFunction(pairs))
 
 
 def load_morphism(path: str, source: Space, target: Space) -> WeakSimilarity:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh, parse_float=str)
-    return morphism_from_obj(obj, source, target)
+        return morphism_from_obj(_parse_json(fh.read()), source, target)
 
 
 def save_morphism(path: str, ws: WeakSimilarity, verified: bool = True) -> None:

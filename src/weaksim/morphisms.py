@@ -32,9 +32,9 @@ from .spaces import (
     DistanceSet,
     Space,
     Verdict,
+    _label_order,
     distance_set,
     new_space,
-    rank_matrix,
 )
 
 DEFAULT_ENUM_LIMIT = 10_000
@@ -171,13 +171,16 @@ def verify(
         raise DomainMismatch("scaling domain differs from the target distance set")
     if not _values_match(scaling.values(), distance_set(X)):
         raise DomainMismatch("scaling range differs from the source distance set")
-    labels = sorted(X.labels)
-    eq_y = Y.backend.eq
-    for idx, a in enumerate(labels):
-        for b in labels[idx + 1 :]:
-            image = scaling.apply(Y.dist(m[a], m[b]), eq=eq_y)
-            if not X.backend.eq(X.dist(a, b), image):
-                return Verdict(False, (a, b))
+    # the checks above pair the k-th distance of Y with the k-th of X, so
+    # the identity holds on a pair exactly when its two ranks agree
+    rkX, rkY = X._view.ranks, Y._view.ranks
+    order = _label_order(X)
+    image = [Y.index(m[X.labels[i]]) for i in order]
+    for a, i in enumerate(order):
+        row_x, row_y = rkX[i], rkY[image[a]]
+        for b in range(a + 1, X.n):
+            if row_x[order[b]] != row_y[image[b]]:
+                return Verdict(False, (X.labels[i], X.labels[order[b]]))
     return Verdict(True)
 
 
@@ -224,25 +227,17 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
     from a table shared by both graphs.  Returns None when the stable color
     class sizes differ, which rules out any rank-preserving bijection.
     """
-    nX, nY = len(rkX), len(rkY)
-    colorsX = [0] * nX
-    colorsY = [0] * nY
+    def signatures(rk, colors):
+        n = len(rk)
+        return [
+            (colors[i], tuple(sorted((rk[i][j], colors[j]) for j in range(n) if j != i)))
+            for i in range(n)
+        ]
+
+    colorsX, colorsY = [0] * len(rkX), [0] * len(rkY)
     ncolors = 1
     while True:
-        sigX = [
-            (
-                colorsX[i],
-                tuple(sorted((rkX[i][j], colorsX[j]) for j in range(nX) if j != i)),
-            )
-            for i in range(nX)
-        ]
-        sigY = [
-            (
-                colorsY[i],
-                tuple(sorted((rkY[i][j], colorsY[j]) for j in range(nY) if j != i)),
-            )
-            for i in range(nY)
-        ]
+        sigX, sigY = signatures(rkX, colorsX), signatures(rkY, colorsY)
         palette = {s: c for c, s in enumerate(sorted(set(sigX) | set(sigY)))}
         colorsX = [palette[s] for s in sigX]
         colorsY = [palette[s] for s in sigY]
@@ -256,13 +251,9 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
 
 def _search_mappings(X: Space, Y: Space) -> Iterator[dict[str, str]]:
     """Yield all rank-preserving bijections in canonical order."""
-    if X.n != Y.n:
+    if X.n != Y.n or len(X._view.values) != len(Y._view.values):
         return
-    dX, dY = distance_set(X), distance_set(Y)
-    if len(dX) != len(dY):
-        return
-    rkX = rank_matrix(X).ranks
-    rkY = rank_matrix(Y).ranks
+    rkX, rkY = X._view.ranks, Y._view.ranks
     if Counter(v for row in rkX for v in row) != Counter(
         v for row in rkY for v in row
     ):

@@ -4,11 +4,21 @@ A space is a finite list of labelled points plus a symmetric, positive
 off-diagonal distance matrix.  Axiom checks (triangle / ultrametric
 inequality), distance-set extraction and rank matrices all report
 deterministic witnesses: the lexicographically first offender in label order.
+
+Every question that depends only on the order of the distances reads one
+rank view per space, built on first use and cached on the space: the sorted
+distinct distances, the integer rank matrix and, for rational spaces, the
+matrix scaled to integers by the common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+from operator import add, gt, le, lt, ne
 from typing import Optional, Sequence
 
 from .backends import RATIONAL, Backend, RationalBackend, Value
@@ -16,6 +26,7 @@ from .errors import (
     AmbiguousRanking,
     DuplicateLabel,
     DuplicateValue,
+    InputError,
     LabelMismatch,
     NotSemimetric,
     ZeroMissing,
@@ -48,10 +59,18 @@ class Space:
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {label: k for k, label in enumerate(self.labels)}
+
+    @cached_property
+    def _view(self) -> "RankView":
+        return _grouped_values(self)
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise LabelMismatch(f"unknown label {label!r}") from None
 
     def dist(self, a: str, b: str) -> Value:
@@ -76,6 +95,25 @@ class RankMatrix:
     ranks: tuple[tuple[int, ...], ...]
 
 
+@dataclass(frozen=True)
+class RankView:
+    """The order data of one space, built once by :func:`_grouped_values`:
+    sorted distinct distances (one representative per tolerance group on a
+    float space) and the matrix of their indices.  Two distances compare as
+    their ranks do."""
+
+    values: tuple[Value, ...]
+    ranks: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], ...]:
+        """The rational matrix times the LCM of its denominators: exact
+        integer sums for the triangle inequality."""
+        lcm = math.lcm(*(v.denominator for v in self.values))
+        ints = [v.numerator * (lcm // v.denominator) for v in self.values]
+        return tuple(tuple(ints[r] for r in row) for row in self.ranks)
+
+
 def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Space:
     """Validate and build a space.
 
@@ -85,7 +123,7 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     """
     labels = tuple(str(x) for x in labels)
     if len(labels) == 0:
-        raise ValueError("a space needs at least one point")
+        raise InputError("a space needs at least one point")
     if len(set(labels)) != len(labels):
         seen = set()
         for lab in labels:
@@ -94,7 +132,7 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
             seen.add(lab)
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError("matrix dimensions do not match labels")
+        raise InputError("matrix dimensions do not match labels")
     m = tuple(tuple(backend.coerce(v) for v in row) for row in matrix)
     order = sorted(range(n), key=lambda k: labels[k])
     for pos, i in enumerate(order):
@@ -114,93 +152,140 @@ def _label_order(space: Space) -> list[int]:
     return sorted(range(space.n), key=lambda k: space.labels[k])
 
 
+def _in_order(m, order: list[int]) -> list[list]:
+    """Rows and columns of ``m`` permuted into the given point order."""
+    return [[m[i][k] for k in order] for i in order]
+
+
+def _labelled(space: Space, order: list[int], *positions: int) -> Verdict:
+    return Verdict(False, tuple(space.labels[order[p]] for p in positions))
+
+
+def _first_triple(space: Space, m, combine, offends) -> Verdict:
+    """First (x, z, y) of distinct points, in label order, on which
+    ``offends(m[x][z], m[z][y], m[x][y])`` holds.
+
+    An offence needs m[x][y] > combine(m[x][z], m[z][y]) in plain
+    arithmetic, so each (x, z) first compares two whole rows at once; only
+    row pairs where that holds somewhere are searched point by point.
+    """
+    order = _label_order(space)
+    rows = _in_order(m, order)
+    for a, row_a in enumerate(rows):
+        for b, row_b in enumerate(rows):
+            xz = row_a[b]
+            if a == b or not any(map(gt, row_a, map(combine, repeat(xz), row_b))):
+                continue
+            for c, (xy, zy) in enumerate(zip(row_a, row_b)):
+                if c != a and c != b and offends(xz, zy, xy):
+                    return _labelled(space, order, a, b, c)
+    return TRUE_VERDICT
+
+
 def is_metric(space: Space) -> Verdict:
     """Check the triangle inequality over all ordered triples.
 
     A failing verdict carries (x, z, y) with d(x,y) > d(x,z) + d(z,y),
-    minimal in label order.
+    minimal in label order.  Rational spaces are checked on the integer
+    scaled matrix; float spaces compare sums within tolerance.
     """
-    m = space.matrix
-    lt = space.backend.lt
-    order = _label_order(space)
-    for i in order:
-        for j in order:
-            if j == i:
-                continue
-            for k in order:
-                if k == i or k == j:
-                    continue
-                if lt(m[i][j] + m[j][k], m[i][k]):
-                    return Verdict(
-                        False, (space.labels[i], space.labels[j], space.labels[k])
-                    )
-    return TRUE_VERDICT
+    if isinstance(space.backend, RationalBackend):
+        m, less = space._view.scaled, lt
+    else:
+        m, less = space.matrix, space.backend.lt
+    return _first_triple(space, m, add, lambda xz, zy, xy: less(xz + zy, xy))
+
+
+def _spanning_tree_agrees(ranks) -> bool:
+    """Does the rank matrix equal its subdominant ultrametric?
+
+    That ultrametric gives two points the largest rank on their path in a
+    minimum spanning tree, and it equals the matrix exactly when the matrix
+    is ultrametric.  The tree grows by Prim's rule; a point v joined through
+    p at rank w must lie at max(w, rank(p, u)) from every earlier point u.
+    """
+    n = len(ranks)
+    tree = [0]
+    best, via = list(ranks[0]), [0] * n
+    rest = set(range(1, n))
+    while rest:
+        v = min(rest, key=best.__getitem__)
+        rest.remove(v)
+        w, row_p, row_v = best[v], ranks[via[v]], ranks[v]
+        if any(row_v[u] != max(w, row_p[u]) for u in tree):
+            return False
+        tree.append(v)
+        for u in rest:
+            if row_v[u] < best[u]:
+                best[u], via[u] = row_v[u], v
+    return True
 
 
 def is_ultrametric(space: Space) -> Verdict:
-    """Check d(x,y) <= max(d(x,z), d(z,y)) over all ordered triples."""
-    m = space.matrix
-    lt = space.backend.lt
-    order = _label_order(space)
-    for i in order:
-        for j in order:
-            if j == i:
-                continue
-            for k in order:
-                if k == i or k == j:
-                    continue
-                bound = m[i][j] if m[i][j] >= m[j][k] else m[j][k]
-                if lt(bound, m[i][k]):
-                    return Verdict(
-                        False, (space.labels[i], space.labels[j], space.labels[k])
-                    )
-    return TRUE_VERDICT
+    """Check d(x,y) <= max(d(x,z), d(z,y)) over all ordered triples.
+
+    Decided on ranks in O(n^2) by a spanning tree; only a failing space is
+    scanned for its witness.  Float spaces whose ranks are ambiguous are
+    scanned on their values.
+    """
+    try:
+        m, less = space._view.ranks, lt
+    except AmbiguousRanking:
+        m, less = space.matrix, space.backend.lt
+    else:
+        if _spanning_tree_agrees(m):
+            return TRUE_VERDICT
+    return _first_triple(space, m, max, lambda xz, zy, xy: less(max(xz, zy), xy))
 
 
-def _grouped_values(space: Space) -> tuple[tuple[Value, ...], dict]:
-    """Sorted distinct distances plus an exact value-to-rank lookup.
+def _grouped_values(space: Space) -> RankView:
+    """Build the rank view of a space; read it as ``space._view``.
 
     Float spaces group values whose adjacent gaps are within tolerance; a
     group whose extremes do not compare equal would make the grouping depend
     on merge order, so it raises AmbiguousRanking.
     """
     backend = space.backend
-    values = sorted({v for row in space.matrix for v in row})
+    rows = space.matrix
     if isinstance(backend, RationalBackend):
-        return tuple(values), {v: r for r, v in enumerate(values)}
-    groups: list[list[float]] = []
-    for v in values:
-        if groups and backend.eq(groups[-1][-1], v):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    rank_of = {}
-    reps = []
-    for rank, group in enumerate(groups):
-        if not backend.eq(group[0], group[-1]):
-            raise AmbiguousRanking(
-                f"values {group[0]!r}..{group[-1]!r} chain within tolerance "
-                "but their extremes do not compare equal"
-            )
-        reps.append(group[0])
-        for v in group:
-            rank_of[v] = rank
-    return tuple(reps), rank_of
+        # (numerator, denominator) pairs hash far faster than Fractions
+        rows = [list(map(Fraction.as_integer_ratio, row)) for row in rows]
+        value_of = {}
+        for key_row, row in zip(rows, space.matrix):
+            value_of.update(zip(key_row, row))
+        keys = sorted(value_of, key=value_of.__getitem__)
+        reps = [value_of[k] for k in keys]
+        rank_of = {k: r for r, k in enumerate(keys)}
+    else:
+        groups: list[list[float]] = []
+        for v in sorted({v for row in rows for v in row}):
+            if groups and backend.eq(groups[-1][-1], v):
+                groups[-1].append(v)
+            else:
+                groups.append([v])
+        rank_of = {}
+        reps = []
+        for rank, group in enumerate(groups):
+            if not backend.eq(group[0], group[-1]):
+                raise AmbiguousRanking(
+                    f"values {group[0]!r}..{group[-1]!r} chain within tolerance "
+                    "but their extremes do not compare equal"
+                )
+            reps.append(group[0])
+            for v in group:
+                rank_of[v] = rank
+    ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in rows)
+    return RankView(values=tuple(reps), ranks=ranks)
 
 
 def distance_set(space: Space) -> DistanceSet:
     """All distinct distances of the space, sorted ascending (0 included)."""
-    reps, _ = _grouped_values(space)
-    return DistanceSet(values=reps, backend=space.backend)
+    return DistanceSet(values=space._view.values, backend=space.backend)
 
 
 def rank_matrix(space: Space) -> RankMatrix:
     """Matrix of distance ranks; rank 0 is the diagonal zero."""
-    _, rank_of = _grouped_values(space)
-    ranks = tuple(
-        tuple(rank_of[v] for v in row) for row in space.matrix
-    )
-    return RankMatrix(ranks=ranks)
+    return RankMatrix(ranks=space._view.ranks)
 
 
 def max_ultrametric_from_set(values, backend: Backend = RATIONAL) -> Space:
@@ -211,7 +296,7 @@ def max_ultrametric_from_set(values, backend: Backend = RATIONAL) -> Space:
     """
     vals = sorted(backend.coerce(v) for v in values)
     if vals and vals[0] < 0:
-        raise ValueError("values must be nonnegative")
+        raise InputError("values must be nonnegative")
     if not vals or not backend.is_zero(vals[0]):
         raise ZeroMissing("the value set must contain 0")
     for a, b in zip(vals, vals[1:]):
@@ -229,22 +314,30 @@ def max_ultrametric_from_set(values, backend: Backend = RATIONAL) -> Space:
 def coincreasing(d: Space, rho: Space) -> Verdict:
     """Do two semimetrics on the same points induce the same pair order?
 
-    Checks d(x,y) <= d(z,w) <=> rho(x,y) <= rho(z,w) by brute force over all
-    quadruples; a failing verdict carries the first (x, y, z, w) in label
-    order.
+    Checks d(x,y) <= d(z,w) <=> rho(x,y) <= rho(z,w): the pair orders agree
+    exactly when the rank matrices are equal.  A failing verdict carries the
+    first (x, y, z, w) in label order, found by a scan of all quadruples;
+    float spaces whose ranks are ambiguous are scanned on their values.
     """
     if d.labels != rho.labels:
         raise LabelMismatch("spaces must share one label list")
-    md, mr = d.matrix, rho.matrix
-    le_d, le_r = d.backend.le, rho.backend.le
-    labels = d.labels
+    try:
+        md, mr = d._view.ranks, rho._view.ranks
+    except AmbiguousRanking:
+        md, mr, le_d, le_r = d.matrix, rho.matrix, d.backend.le, rho.backend.le
+    else:
+        if md == mr:
+            return TRUE_VERDICT
+        le_d = le_r = le
     order = _label_order(d)
-    for i1 in order:
-        for i2 in order:
-            for i3 in order:
-                for i4 in order:
-                    if le_d(md[i1][i2], md[i3][i4]) != le_r(mr[i1][i2], mr[i3][i4]):
-                        return Verdict(
-                            False, (labels[i1], labels[i2], labels[i3], labels[i4])
-                        )
+    rows_d, rows_r = _in_order(md, order), _in_order(mr, order)
+    for a in range(d.n):
+        for b in range(d.n):
+            x, y = rows_d[a][b], rows_r[a][b]
+            for c, (row_d, row_r) in enumerate(zip(rows_d, rows_r)):
+                if any(map(ne, map(le_d, repeat(x), row_d), map(le_r, repeat(y), row_r))):
+                    e = next(
+                        e for e in range(d.n) if le_d(x, row_d[e]) != le_r(y, row_r[e])
+                    )
+                    return _labelled(d, order, a, b, c, e)
     return TRUE_VERDICT

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Optional, Sequence
 
 from .backends import FloatBackend, RationalBackend, parse_exact
 from .errors import (
     DomainGap,
     EmptyDomain,
+    InputError,
     NonpositiveExponent,
     NonzeroAtZero,
     NoPositiveElement,
     NotPositiveDefinite,
     NotStrictlyIncreasing,
 )
-from .spaces import Space, _grouped_values, new_space
+from .spaces import Space, new_space
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,10 @@ class FunctionTable:
         object.__setattr__(self, "entries", coerced)
         for (a1, _), (a2, _) in zip(coerced, coerced[1:]):
             if not a1 < a2:
-                raise ValueError("domain points must be strictly increasing")
+                raise InputError("domain points must be strictly increasing")
         for a, v in coerced:
             if a < 0 or v < 0:
-                raise ValueError("domain points and values must be nonnegative")
+                raise InputError("domain points and values must be nonnegative")
 
     def domain(self) -> tuple[Fraction, ...]:
         return tuple(a for a, _ in self.entries)
@@ -53,10 +55,6 @@ class FunctionTable:
             if key == a:
                 return v
         raise DomainGap(a)
-
-    def has(self, a) -> bool:
-        a = parse_exact(a)
-        return any(key == a for key, _ in self.entries)
 
     def positive_entries(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple((a, v) for a, v in self.entries if a > 0)
@@ -80,7 +78,7 @@ def power_table(domain: Sequence, p) -> FunctionTable:
         a = parse_exact(a)
         v = _pow_exact(a, p)
         if v is None:
-            raise ValueError(f"{a}**{p} is irrational; only exact tables are built")
+            raise InputError(f"{a}**{p} is irrational; only exact tables are built")
         rows.append((a, v))
     return function_table(rows)
 
@@ -216,7 +214,7 @@ def hull_eval(h: SubadditiveHull, x) -> Fraction:
     """Evaluate the extension at x >= 0: min total cost of a cover of x."""
     x = parse_exact(x)
     if x < 0:
-        raise ValueError("the extension is defined on nonnegative values")
+        raise InputError("the extension is defined on nonnegative values")
     if x == 0:
         return Fraction(0)
     cost, _ = _min_cover(h.positive_desc(), x)
@@ -260,23 +258,19 @@ def apply_function(space: Space, f: FunctionTable) -> Space:
     positive distances, and be strictly increasing on them, so the output is
     again a semimetric weakly equivalent to the input via the identity map.
     """
-    reps, rank_of = _grouped_values(space)
+    view = space._view
     backend = space.backend
+    exact = isinstance(backend, RationalBackend)
+    table = dict(f.entries)
     mapped = []
-    for v in reps:
-        if isinstance(backend, RationalBackend):
-            if not f.has(v):
-                raise DomainGap(v)
-            mapped.append(f.value_at(v))
+    for v in view.values:
+        if exact:
+            hit = table.get(v)
         else:
-            hit = None
-            for a, fa in f.entries:
-                if backend.eq(float(a), v):
-                    hit = fa
-                    break
-            if hit is None:
-                raise DomainGap(v)
-            mapped.append(hit)
+            hit = next((fa for a, fa in f.entries if backend.eq(float(a), v)), None)
+        if hit is None:
+            raise DomainGap(v)
+        mapped.append(hit)
     if mapped[0] != 0:
         raise NotPositiveDefinite("the zero distance must map to 0")
     for v in mapped[1:]:
@@ -287,14 +281,9 @@ def apply_function(space: Space, f: FunctionTable) -> Space:
             raise NotStrictlyIncreasing(
                 "the table is not strictly increasing on the distance set"
             )
-    if isinstance(backend, RationalBackend):
-        matrix = [
-            [mapped[rank_of[v]] for v in row] for row in space.matrix
-        ]
-        return new_space(space.labels, matrix, backend)
-    matrix = [
-        [float(mapped[rank_of[v]]) for v in row] for row in space.matrix
-    ]
+    if not exact:
+        mapped = [float(v) for v in mapped]
+    matrix = [[mapped[r] for r in row] for row in view.ranks]
     return new_space(space.labels, matrix, backend)
 
 
@@ -312,20 +301,12 @@ def snowflake(space: Space, p) -> Space:
         return space
     backend = space.backend
     if isinstance(backend, RationalBackend):
-        distinct = sorted({v for row in space.matrix for v in row})
-        exact = {}
-        for v in distinct:
-            pv = _pow_exact(v, p)
-            if pv is None:
-                exact = None
-                break
-            exact[v] = pv
-        if exact is not None:
-            matrix = [[exact[v] for v in row] for row in space.matrix]
+        values = space._view.values
+        exact = list(takewhile(lambda pv: pv is not None, (_pow_exact(v, p) for v in values)))
+        if len(exact) == len(values):
+            matrix = [[exact[r] for r in row] for row in space._view.ranks]
             return new_space(space.labels, matrix, backend)
-        fp = float(p)
-        matrix = [[float(v) ** fp for v in row] for row in space.matrix]
-        return new_space(space.labels, matrix, FloatBackend())
+        backend = FloatBackend()
     fp = float(p)
     matrix = [[float(v) ** fp for v in row] for row in space.matrix]
     return new_space(space.labels, matrix, backend)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's search and pruning machinery: weak
 similarities are found by trying every bijection against the defining
-identity, and generalized subadditivity by enumerating every candidate
-multiset up to the minimality bound.
+identity, generalized subadditivity by enumerating every candidate multiset
+up to the minimality bound, and the axiom checks by comparing values through
+the backend over every triple or quadruple in label order.
 """
 
 from __future__ import annotations
@@ -48,6 +49,62 @@ def brute_force_weak_similarities(X: Space, Y: Space) -> list[dict]:
                 {X.labels[src[k]]: Y.labels[perm[k]] for k in range(len(src))}
             )
     return found
+
+
+def _label_order(space: Space) -> list[int]:
+    return sorted(range(space.n), key=lambda k: space.labels[k])
+
+
+def _first_triple(space: Space, offends) -> tuple:
+    m = space.matrix
+    order = _label_order(space)
+    for i in order:
+        for j in order:
+            if j == i:
+                continue
+            for k in order:
+                if k != i and k != j and offends(m[i][j], m[j][k], m[i][k]):
+                    return False, (space.labels[i], space.labels[j], space.labels[k])
+    return True, None
+
+
+def brute_force_is_metric(space: Space) -> tuple:
+    """(ok, witness): the first (x, z, y) in label order with
+    d(x,y) > d(x,z) + d(z,y), compared through the backend."""
+    lt = space.backend.lt
+    return _first_triple(space, lambda xz, zy, xy: lt(xz + zy, xy))
+
+
+def brute_force_is_ultrametric(space: Space) -> tuple:
+    """(ok, witness): the first (x, z, y) with d(x,y) > max(d(x,z), d(z,y))."""
+    lt = space.backend.lt
+    return _first_triple(space, lambda xz, zy, xy: lt(xz if xz >= zy else zy, xy))
+
+
+def brute_force_coincreasing(d: Space, rho: Space) -> tuple:
+    """(ok, witness): the first (x, y, z, w) in label order on which
+    d(x,y) <= d(z,w) and rho(x,y) <= rho(z,w) disagree."""
+    md, mr = d.matrix, rho.matrix
+    le_d, le_r = d.backend.le, rho.backend.le
+    order = _label_order(d)
+    for i1, i2, i3, i4 in itertools.product(order, repeat=4):
+        if le_d(md[i1][i2], md[i3][i4]) != le_r(mr[i1][i2], mr[i3][i4]):
+            return False, tuple(d.labels[i] for i in (i1, i2, i3, i4))
+    return True, None
+
+
+def brute_force_verify(X: Space, Y: Space, mapping: dict, scaling) -> tuple:
+    """(ok, witness): the first pair a < b of source labels with
+    d_X(a, b) != f(d_Y(map a, map b)), f read from the exact table."""
+    f = dict(scaling.pairs)
+    ix, iy = X.labels.index, Y.labels.index
+    labels = sorted(X.labels)
+    for k, a in enumerate(labels):
+        for b in labels[k + 1 :]:
+            image = Y.matrix[iy(mapping[a])][iy(mapping[b])]
+            if X.matrix[ix(a)][ix(b)] != f[image]:
+                return False, (a, b)
+    return True, None
 
 
 def forced_scaling_pairs(X: Space, Y: Space) -> tuple:

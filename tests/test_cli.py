@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import weaksim
 from weaksim import new_space, random_metric, segment_grid
 from weaksim.cli import run
 from weaksim.formats import load_space, save_space, save_table
@@ -294,3 +298,55 @@ class TestCorruptMorphismFile:
         assert code == 1
         assert rep["report"]["result"]["verified"]["ok"] is False
         assert rep["report"]["result"]["verified"]["witness"] == ["a", "b"]
+
+
+SPACE_FILES = {
+    "non_numeric_entry": '{"labels": ["a", "b"], "backend": "rational", '
+    '"matrix": [["0", "x"], ["x", "0"]]}',
+    "invalid_json": '{"labels": ["a", "b"], "backend": ',
+    "mismatched_dimensions": '{"labels": ["a", "b"], "backend": "rational", '
+    '"matrix": [["0", "1"], ["1", "0", "2"]]}',
+    "empty_label_list": '{"labels": [], "backend": "rational", "matrix": []}',
+}
+
+
+def run_child(tmp_path, *argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(weaksim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "weaksim", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def assert_input_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with one line on stderr: exit 1 is reserved
+    for false verdicts."""
+
+    @pytest.mark.parametrize("case", sorted(SPACE_FILES))
+    def test_malformed_space_file(self, tmp_path, case):
+        (tmp_path / "s.json").write_text(SPACE_FILES[case])
+        assert_input_error(run_child(tmp_path, "check", "--in", "s.json", "--metric"))
+
+    def test_family_too_small(self, tmp_path):
+        proc = run_child(tmp_path, "family", "gen", "--name", "grid", "--n", "1", "--out", "g.json")
+        assert_input_error(proc)
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("sub", ["enum", "verify"])
+    def test_out_is_not_accepted_where_nothing_is_written(self, capsys, files, tmp_path, sub):
+        pair = ["--x", files["x"], "--y", files["y"]]
+        morph_path = str(tmp_path / "m.json")
+        assert run(["morph", "find", *pair, "--out", morph_path]) == 0
+        extra = ["--in", morph_path] if sub == "verify" else []
+        assert run(["morph", sub, *pair, *extra]) == 0
+        assert run(["morph", sub, *pair, *extra, "--out", str(tmp_path / "o.json")]) == 2

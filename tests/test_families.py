@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,7 @@ from weaksim import (
     snowflake_segment,
     verify,
 )
+from weaksim.formats import save_space
 from weaksim.transforms import function_table
 
 
@@ -184,6 +186,23 @@ class TestRandomFamilies:
         assert random_metric(6, 42) == random_metric(6, 42)
         assert random_ultrametric(6, 42) == random_ultrametric(6, 42)
         assert random_metric(6, 42) != random_metric(6, 43)
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (1, 0, "d3ea344b617645731cda59881c5064605f17308d810838352678ef934d74129d"),
+            (2, 5, "506324d27f6ee279e5689c1d1a38a0a63447960ed9fe02ffd36882dbab94ceac"),
+            (7, 3, "1fc52807c5a4418e668ef257e1764dc2c221977aeab4a1fac40b39e99fb285e5"),
+            (20, 11, "7cd3755fd28bbe702754d2276960375f9412a7426a3bc63ea7ecf34983208e5b"),
+            (45, 2024, "e888b0bed0d91c958202dc1d1947b1606b2b63b6effed32b4905c10a6bb0609f"),
+        ],
+    )
+    def test_random_metric_files_are_pinned(self, tmp_path, n, seed, digest):
+        # digests of the Fraction Floyd-Warshall's output: any faster
+        # completion must write the same bytes per seed
+        path = tmp_path / "m.json"
+        save_space(str(path), random_metric(n, seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestDerivePartner:

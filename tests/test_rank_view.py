@@ -1,0 +1,227 @@
+"""The rank-view fast paths against the label-order brute force.
+
+Axiom checks, coincreasing and verify answer from each space's cached rank
+view (or its integer-scaled matrix); the oracles compare values through the
+backend over every triple, quadruple or pair.  Verdicts and witnesses must
+agree exactly.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    brute_force_coincreasing,
+    brute_force_is_metric,
+    brute_force_is_ultrametric,
+    brute_force_verify,
+    random_bijection,
+    random_semimetric,
+)
+from weaksim import (
+    AmbiguousRanking,
+    FloatBackend,
+    coincreasing,
+    derive_partner,
+    distance_set,
+    find_weak_similarity,
+    is_metric,
+    is_ultrametric,
+    new_space,
+    random_metric,
+    random_ultrametric,
+    rank_matrix,
+    verify,
+)
+
+EPS = 1e-9
+
+
+def verdict(v):
+    return v.ok, v.witness
+
+
+def assert_axioms_match(space):
+    assert verdict(is_metric(space)) == brute_force_is_metric(space)
+    assert verdict(is_ultrametric(space)) == brute_force_is_ultrametric(space)
+
+
+def assert_coincreasing_matches(d, rho):
+    assert verdict(coincreasing(d, rho)) == brute_force_coincreasing(d, rho)
+
+
+def shuffled_labels(space, seed):
+    """The same matrix under names whose sorted order is not index order."""
+    rng = random.Random(seed)
+    names = [f"p{k:02d}" for k in range(space.n)]
+    rng.shuffle(names)
+    return new_space(names, space.matrix, space.backend)
+
+
+def late_violation(space, seed):
+    """Lengthen one pair near the end of label order past a two-step path."""
+    rng = random.Random(seed)
+    n = space.n
+    m = [list(row) for row in space.matrix]
+    i, j = n - 1, n - 2 - rng.randrange(max(n - 2, 1))
+    k = rng.choice([c for c in range(n) if c not in (i, j)])
+    m[i][j] = m[j][i] = m[i][k] + m[k][j] + F(1, rng.randint(1, 5))
+    return new_space(space.labels, m, space.backend)
+
+
+def jittered_float(space, seed, scale=0.4 * EPS):
+    """A float copy whose entries move by less than the tolerance; the
+    diagonal may sit just off 0, which still counts as zero."""
+    rng = random.Random(seed)
+    n = space.n
+    m = [[float(v) for v in row] for row in space.matrix]
+    for i in range(n):
+        m[i][i] = rng.choice((0.0, 1e-12, -1e-12))
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = m[i][j] * (1 + rng.choice((-scale, 0.0, scale)))
+    return new_space(space.labels, m, FloatBackend(epsilon=EPS))
+
+
+def ambiguous_space(n, seed):
+    """A float space whose distances chain within tolerance from 1 to
+    1 + 1.8e-9, so that grouping them into ranks is ambiguous."""
+    rng = random.Random(seed)
+    chain = [1.0, 1.0 + 0.9 * EPS, 1.0 + 1.8 * EPS]
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.choice(chain + [rng.choice((2.0, 3.5))])
+    m[0][1] = m[1][0] = chain[0]
+    m[0][2] = m[2][0] = chain[2]
+    m[1][2] = m[2][1] = chain[1]
+    return new_space([f"z{k}" for k in range(n)], m, FloatBackend(epsilon=EPS))
+
+
+seeds = st.integers(0, 10_000)
+
+
+class TestAxiomParity:
+    @given(seeds, st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_random_semimetrics(self, seed, n):
+        assert_axioms_match(random_semimetric(n, seed))
+
+    @given(seeds, st.integers(3, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_metrics_with_late_witnesses(self, seed, n):
+        space = late_violation(random_metric(n, seed), seed)
+        assert not is_metric(space).ok
+        assert_axioms_match(space)
+
+    @given(seeds, st.integers(2, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_labels_out_of_index_order(self, seed, n):
+        for base in (random_semimetric(n, seed), random_ultrametric(n, seed)):
+            assert_axioms_match(shuffled_labels(base, seed))
+        if n >= 3:
+            late = late_violation(random_metric(n, seed), seed)
+            assert_axioms_match(shuffled_labels(late, seed + 1))
+
+    @given(seeds, st.integers(2, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_float_values_within_epsilon(self, seed, n):
+        for base in (random_ultrametric(n, seed), random_semimetric(n, seed)):
+            assert_axioms_match(jittered_float(base, seed))
+
+    def test_float_triangle_equality_within_epsilon(self):
+        s = new_space(
+            ["a", "b", "c"],
+            [[0.0, 1.0, 2.0 + 0.5e-9], [1.0, 0.0, 1.0], [2.0 + 0.5e-9, 1.0, 0.0]],
+            FloatBackend(epsilon=EPS),
+        )
+        assert is_metric(s).ok
+        assert_axioms_match(s)
+
+    @given(seeds, st.integers(3, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_ambiguous_rankings_fall_back_to_values(self, seed, n):
+        s = ambiguous_space(n, seed)
+        with pytest.raises(AmbiguousRanking):
+            rank_matrix(s)
+        assert_axioms_match(s)
+
+
+class TestCoincreasingParity:
+    @given(seeds, st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_semimetric_pairs(self, seed, n):
+        a, b = random_semimetric(n, seed), random_semimetric(n, seed + 1)
+        assert_coincreasing_matches(a, b)
+        assert_coincreasing_matches(a, a)
+
+    @given(seeds, st.integers(3, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_late_disagreement(self, seed, n):
+        d = random_metric(n, seed)
+        rho = new_space(d.labels, [[v + v * v for v in row] for row in d.matrix])
+        assert coincreasing(d, rho).ok
+        assert_coincreasing_matches(d, late_violation(rho, seed))
+        assert_coincreasing_matches(shuffled_labels(d, seed), shuffled_labels(rho, seed))
+
+    @given(seeds, st.integers(2, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_float_within_epsilon(self, seed, n):
+        d = random_semimetric(n, seed)
+        assert_coincreasing_matches(jittered_float(d, seed), d)
+        assert_coincreasing_matches(jittered_float(d, seed), jittered_float(d, seed + 1))
+        other = random_semimetric(n, seed + 2)
+        assert_coincreasing_matches(jittered_float(d, seed), jittered_float(other, seed))
+
+    @given(seeds, st.integers(3, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_ambiguous_rankings_fall_back_to_values(self, seed, n):
+        s = ambiguous_space(n, seed)
+        other = ambiguous_space(n, seed + 1)
+        assert_coincreasing_matches(s, s)
+        assert_coincreasing_matches(s, other)
+        plain = new_space(s.labels, [[round(v) for v in row] for row in s.matrix])
+        assert_coincreasing_matches(plain, s)
+
+
+class TestVerifyParity:
+    @given(seeds, st.integers(2, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_scrambled_mappings_give_the_first_bad_pair(self, seed, n):
+        X = random_metric(n, seed)
+        Y, _ = derive_partner(X, "distorted", seed=seed + 1)
+        scaling = find_weak_similarity(X, Y).scaling
+        for k in range(5):
+            mapping = random_bijection(X, Y, seed + k)
+            expected = brute_force_verify(X, Y, mapping, scaling)
+            assert verdict(verify(X, Y, mapping, scaling)) == expected
+
+    @given(seeds, st.integers(2, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_relabeled_targets(self, seed, n):
+        X = shuffled_labels(random_ultrametric(n, seed), seed)
+        Y, ws = derive_partner(X, "relabeled", seed=seed)
+        assert verdict(verify(X, Y, ws.as_map(), ws.scaling)) == (True, None)
+        mapping = random_bijection(X, Y, seed)
+        expected = brute_force_verify(X, Y, mapping, ws.scaling)
+        assert verdict(verify(X, Y, mapping, ws.scaling)) == expected
+
+
+class TestCachedView:
+    def test_populated_cache_keeps_equality_and_hash(self):
+        s = random_metric(6, 4)
+        fresh = new_space(s.labels, s.matrix)
+        assert is_metric(s).ok and is_ultrametric(s).ok is False
+        distance_set(s), rank_matrix(s), s.index(s.labels[-1])
+        assert "_view" in vars(s) and "_view" not in vars(fresh)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert {s: 1}[fresh] == 1
+        assert distance_set(fresh) == distance_set(s)
+        assert rank_matrix(fresh) == rank_matrix(s)
+
+    def test_view_is_built_once(self):
+        s = random_ultrametric(5, 1)
+        assert rank_matrix(s).ranks is rank_matrix(s).ranks
+        assert distance_set(s).values is s._view.values
