@@ -347,6 +347,13 @@ def _text_lines(value, prefix="") -> list[str]:
     return [f"{prefix}{value}"]
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaksim",
@@ -356,8 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
+    def text_format(sp):
         sp.add_argument("--format", choices=["json", "text"], default="json")
+
+    def common(sp, out=True):
+        text_format(sp)
         if out:
             sp.add_argument("--out", default=None, help="write the primary artifact here")
         sp.add_argument(
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x", required=True, help="source space file")
         sp.add_argument("--y", required=True, help="target space file")
         common(sp, out=sp not in (menum, mverify))
-    menum.add_argument("--limit", type=int, default=10_000, help="0 means unbounded")
+    menum.add_argument("--limit", type=nonnegative_int, default=10_000, help="0 means unbounded")
     mverify.add_argument("--in", dest="infile", required=True, help="morphism report file")
     mfact.add_argument(
         "--in", dest="infiles", nargs=2, required=True, help="two morphism report files"
@@ -419,12 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     subadd_sub = subadd.add_subparsers(dest="subcommand", required=True)
     scheck = subadd_sub.add_parser("check", help="test generalized subadditivity")
     scheck.add_argument("--f", dest="table", required=True)
-    common(scheck, out=False)
+    text_format(scheck)
     scheck.set_defaults(handler=_cmd_subadditive_check, echo=("table",))
     shull = subadd_sub.add_parser("hull-eval", help="evaluate the subadditive extension")
     shull.add_argument("--f", dest="table", required=True)
     shull.add_argument("--at", required=True, help="evaluation point, e.g. 5/2")
-    common(shull, out=False)
+    text_format(shull)
     shull.set_defaults(handler=_cmd_subadditive_hull_eval, echo=("table", "at"))
 
     family = sub.add_parser("family", help="example-family generators")
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     fgen.add_argument("--seed", type=int, default=0)
     fgen.add_argument("--p", default="1/2", help="snowflake exponent")
     fgen.add_argument("--length", default="1", help="grid length")
-    fgen.add_argument("--format", choices=["json", "text"], default="json")
+    text_format(fgen)
     fgen.add_argument("--out", required=True)
     fgen.set_defaults(
         handler=_cmd_family_gen, echo=("name", "n", "seed", "p", "length", "out")

@@ -15,13 +15,14 @@ arrive in lexicographic order of the mapping.
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .backends import Backend, FloatBackend, RationalBackend, Value
+from .backends import Backend, FloatBackend, Value
 from .errors import (
     CardinalityMismatch,
     DomainMismatch,
@@ -32,6 +33,7 @@ from .spaces import (
     DistanceSet,
     Space,
     Verdict,
+    _in_order,
     _label_order,
     distance_set,
     new_space,
@@ -74,18 +76,12 @@ class ScalingFunction:
     def values(self) -> tuple[Value, ...]:
         return tuple(v for _, v in self.pairs)
 
-    def apply(self, t: Value, eq=None) -> Value:
-        """Evaluate the table at t; ``eq`` is the fallback comparison for
-        float-backed domains whose entry is not the group representative."""
+    def apply(self, t: Value) -> Value:
+        """Evaluate the table at t, which must be one of its domain keys."""
         try:
             return self._table[t]
         except KeyError:
-            pass
-        if eq is not None:
-            for key, val in self.pairs:
-                if eq(key, t):
-                    return val
-        raise DomainMismatch(f"value {t!r} is outside the scaling domain")
+            raise DomainMismatch(f"value {t!r} is outside the scaling domain") from None
 
     def inverse(self) -> "ScalingFunction":
         return ScalingFunction(tuple(sorted((v, t) for t, v in self.pairs)))
@@ -187,31 +183,23 @@ def verify(
 def classify_scaling(
     scaling: ScalingFunction, source_backend: Backend, target_backend: Backend
 ) -> Classification:
-    """Classify a scaling table: f(t) = t/r for a constant r, or generic."""
+    """Classify a scaling table: f(t) = t/r for a constant r, or generic.
+
+    Rational tables are classified exactly; a table with a float side uses
+    floats and that side's tolerance (the source's when both are floats).
+    """
     positive = scaling.pairs[1:]
     if not positive:
         return Classification.isometry()
-    exact = isinstance(source_backend, RationalBackend) and isinstance(
-        target_backend, RationalBackend
-    )
-    if exact:
-        t0, v0 = positive[-1]
-        ratio = Fraction(t0) / Fraction(v0)
-        if all(t == ratio * v for t, v in positive):
-            if ratio == 1:
-                return Classification.isometry()
-            return Classification.similarity(ratio)
-        return Classification.generic()
-    eps_backend = (
-        source_backend if isinstance(source_backend, FloatBackend) else target_backend
-    )
+    floats = [b for b in (source_backend, target_backend) if isinstance(b, FloatBackend)]
+    num, eq = (float, floats[0].eq) if floats else (Fraction, operator.eq)
     t0, v0 = positive[-1]
-    ratio = float(t0) / float(v0)
-    if all(eps_backend.eq(float(t), ratio * float(v)) for t, v in positive):
-        if eps_backend.eq(ratio, 1.0):
-            return Classification.isometry()
-        return Classification.similarity(ratio)
-    return Classification.generic()
+    ratio = num(t0) / num(v0)
+    if not all(eq(t, ratio * v) for t, v in positive):
+        return Classification.generic()
+    if eq(ratio, 1):
+        return Classification.isometry()
+    return Classification.similarity(ratio)
 
 
 def classify(ws: WeakSimilarity) -> Classification:
@@ -223,79 +211,75 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
     """Synchronized color refinement on two edge-colored complete graphs.
 
     Points start in one cell; each round re-colors every point by the sorted
-    multiset of (edge rank, neighbor color) signatures, with colors drawn
-    from a table shared by both graphs.  Returns None when the stable color
-    class sizes differ, which rules out any rank-preserving bijection.
+    multiset of (edge rank, neighbor color) over its rank row, with colors
+    drawn from a table shared by both graphs.  The diagonal entry (0, own
+    color) leads every signature, so a round only splits cells.  Returns
+    None when the stable color class sizes differ, which rules out any
+    rank-preserving bijection.
     """
-    def signatures(rk, colors):
-        n = len(rk)
-        return [
-            (colors[i], tuple(sorted((rk[i][j], colors[j]) for j in range(n) if j != i)))
-            for i in range(n)
-        ]
-
     colorsX, colorsY = [0] * len(rkX), [0] * len(rkY)
     ncolors = 1
     while True:
-        sigX, sigY = signatures(rkX, colorsX), signatures(rkY, colorsY)
+        sigX = [tuple(sorted(zip(row, colorsX))) for row in rkX]
+        sigY = [tuple(sorted(zip(row, colorsY))) for row in rkY]
         palette = {s: c for c, s in enumerate(sorted(set(sigX) | set(sigY)))}
         colorsX = [palette[s] for s in sigX]
         colorsY = [palette[s] for s in sigY]
         if len(palette) == ncolors:
             break
         ncolors = len(palette)
-    if Counter(colorsX) != Counter(colorsY):
+    if sorted(colorsX) != sorted(colorsY):
         return None
     return colorsX, colorsY
 
 
 def _search_mappings(X: Space, Y: Space) -> Iterator[dict[str, str]]:
-    """Yield all rank-preserving bijections in canonical order."""
+    """Yield all rank-preserving bijections in canonical order.
+
+    Source points are placed in label order; ``stack[k]`` iterates the
+    remaining candidate images of the k-th one, so the search depth is
+    bounded by memory, not by the interpreter's recursion limit.
+    """
     if X.n != Y.n or len(X._view.values) != len(Y._view.values):
         return
     rkX, rkY = X._view.ranks, Y._view.ranks
-    if Counter(v for row in rkX for v in row) != Counter(
-        v for row in rkY for v in row
-    ):
-        return
     refined = _refine_colors(rkX, rkY)
     if refined is None:
         return
     colorsX, colorsY = refined
-    n = X.n
-    src_order = sorted(range(n), key=lambda i: X.labels[i])
+    src = _label_order(X)
+    rows = _in_order(rkX, src)
     by_color: dict[int, list[int]] = {}
-    for j in sorted(range(n), key=lambda j: Y.labels[j]):
+    for j in _label_order(Y):
         by_color.setdefault(colorsY[j], []).append(j)
-    candidates = [by_color.get(colorsX[i], []) for i in range(n)]
+    candidates = [by_color.get(colorsX[i], []) for i in src]
 
-    image: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    def extend(k: int) -> Iterator[dict[str, str]]:
-        if k == n:
-            yield {X.labels[i]: Y.labels[image[i]] for i in src_order}
-            return
-        i = src_order[k]
-        row = rkX[i]
-        for j in candidates[i]:
+    image: list[int] = []  # image[m] is the target of src[m]
+    used = [False] * X.n
+    stack = [iter(candidates[0])]
+    while stack:
+        k = len(stack) - 1
+        if len(image) > k:  # back at level k: release its previous image
+            used[image.pop()] = False
+        row = rows[k]
+        for j in stack[-1]:
             if used[j]:
                 continue
             target_row = rkY[j]
-            ok = True
-            for m in range(k):
-                prev = src_order[m]
-                if row[prev] != target_row[image[prev]]:
-                    ok = False
+            for m, prev in enumerate(image):
+                if row[m] != target_row[prev]:
                     break
-            if ok:
-                image[i] = j
+            else:
+                image.append(j)
                 used[j] = True
-                yield from extend(k + 1)
-                used[j] = False
-                image[i] = None
-
-    yield from extend(0)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(image) == X.n:
+            yield {X.labels[i]: Y.labels[j] for i, j in zip(src, image)}
+        else:
+            stack.append(iter(candidates[k + 1]))
 
 
 def build_realization(
@@ -315,10 +299,8 @@ def build_realization(
 
 def find_weak_similarity(X: Space, Y: Space) -> Optional[WeakSimilarity]:
     """First weak similarity in canonical order, or None if there is none."""
-    for mapping in _search_mappings(X, Y):
-        scaling = increasing_bijection(distance_set(Y), distance_set(X))
-        return build_realization(X, Y, mapping, scaling)
-    return None
+    found = enumerate_weak_similarities(X, Y, limit=1)
+    return found[0] if found else None
 
 
 def enumerate_weak_similarities(
@@ -332,13 +314,10 @@ def enumerate_weak_similarities(
     out: list[WeakSimilarity] = []
     if limit is not None and limit <= 0:
         return out
-    scaling = None
-    for mapping in _search_mappings(X, Y):
-        if scaling is None:
+    for mapping in islice(_search_mappings(X, Y), limit):
+        if not out:
             scaling = increasing_bijection(distance_set(Y), distance_set(X))
         out.append(build_realization(X, Y, mapping, scaling))
-        if limit is not None and len(out) >= limit:
-            break
     return out
 
 
@@ -355,10 +334,7 @@ def compose(first: WeakSimilarity, second: WeakSimilarity) -> WeakSimilarity:
     fmap = first.as_map()
     smap = second.as_map()
     mapping = {x: smap[y] for x, y in fmap.items()}
-    eq_mid = first.target.backend.eq
-    pairs = tuple(
-        (u, first.scaling.apply(g_u, eq=eq_mid)) for u, g_u in second.scaling.pairs
-    )
+    pairs = tuple((u, first.scaling.apply(g_u)) for u, g_u in second.scaling.pairs)
     return build_realization(first.source, second.target, mapping, ScalingFunction(pairs))
 
 

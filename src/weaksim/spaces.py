@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import repeat, takewhile
 from operator import add, gt, le, lt, ne
 from typing import Optional, Sequence
 
@@ -243,7 +243,9 @@ def _grouped_values(space: Space) -> RankView:
 
     Float spaces group values whose adjacent gaps are within tolerance; a
     group whose extremes do not compare equal would make the grouping depend
-    on merge order, so it raises AmbiguousRanking.
+    on merge order, so it raises AmbiguousRanking.  So does a grouping whose
+    rank 0 is not exactly the values that compare equal to 0: rank 0 must
+    sit on the diagonal and nowhere else.
     """
     backend = space.backend
     rows = space.matrix
@@ -257,8 +259,9 @@ def _grouped_values(space: Space) -> RankView:
         reps = [value_of[k] for k in keys]
         rank_of = {k: r for r, k in enumerate(keys)}
     else:
+        values = sorted({v for row in rows for v in row})
         groups: list[list[float]] = []
-        for v in sorted({v for row in rows for v in row}):
+        for v in values:
             if groups and backend.eq(groups[-1][-1], v):
                 groups[-1].append(v)
             else:
@@ -274,6 +277,8 @@ def _grouped_values(space: Space) -> RankView:
             reps.append(group[0])
             for v in group:
                 rank_of[v] = rank
+        if groups[0] != list(takewhile(backend.is_zero, values)):
+            raise AmbiguousRanking("rank 0 must hold exactly the values that compare equal to 0")
     ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in rows)
     return RankView(values=tuple(reps), ranks=ranks)
 

@@ -350,3 +350,14 @@ class TestInputErrors:
         extra = ["--in", morph_path] if sub == "verify" else []
         assert run(["morph", sub, *pair, *extra]) == 0
         assert run(["morph", sub, *pair, *extra, "--out", str(tmp_path / "o.json")]) == 2
+
+    def test_negative_enum_limit_is_a_usage_error(self, capsys, files):
+        pair = ["--x", files["eq"], "--y", files["eq"]]
+        assert run(["morph", "enum", *pair, "--limit", "0"]) == 0
+        assert run(["morph", "enum", *pair, "--limit", "-1"]) == 2
+
+    @pytest.mark.parametrize("sub", [["check"], ["hull-eval", "--at", "5/2"]])
+    def test_epsilon_is_not_accepted_where_no_space_is_read(self, capsys, files, sub):
+        argv = ["subadditive", *sub, "--f", files["double"]]
+        assert run(argv) == 0
+        assert run([*argv, "--epsilon", "1e-6"]) == 2

@@ -148,6 +148,26 @@ class TestAxiomParity:
             rank_matrix(s)
         assert_axioms_match(s)
 
+    @pytest.mark.parametrize(
+        "diagonal, d_ab",
+        [
+            # 1.5e-9 compares equal to 9e-10, so it would share rank 0
+            ((9e-10, 9e-10, 9e-10), 1.5e-9),
+            # both count as 0, but -9e-10 and 9e-10 do not compare equal
+            ((-9e-10, 9e-10, 9e-10), 1.0),
+        ],
+    )
+    def test_rank_zero_is_only_the_diagonal(self, diagonal, d_ab):
+        a, b, c = diagonal
+        s = new_space(
+            ["a", "b", "c"],
+            [[a, d_ab, 1.0], [d_ab, b, 1.0], [1.0, 1.0, c]],
+            FloatBackend(epsilon=EPS),
+        )
+        with pytest.raises(AmbiguousRanking):
+            rank_matrix(s)
+        assert_axioms_match(s)
+
 
 class TestCoincreasingParity:
     @given(seeds, st.integers(1, 5))

@@ -1,0 +1,163 @@
+"""The iterative search and the table algebra.
+
+Enumeration must list exactly the brute-force oracle's mappings in the
+oracle's (canonical) order, at any depth the recursion limit would not
+allow; realizations found between float spaces must compose, invert and
+factorize by exact table lookup.
+"""
+
+import inspect
+import random
+import string
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_weak_similarities
+from weaksim import (
+    RATIONAL,
+    DomainMismatch,
+    FloatBackend,
+    ScalingFunction,
+    build_realization,
+    classify_scaling,
+    compose,
+    derive_partner,
+    enumerate_weak_similarities,
+    factorize,
+    find_weak_similarity,
+    invert,
+    new_space,
+    random_ultrametric,
+    segment_grid,
+    snowflake,
+    verify,
+)
+
+
+def shuffled_labels(n, rng):
+    """n distinct labels stored out of sorted order (for n > 1)."""
+    labels = rng.sample(string.ascii_lowercase, n)
+    while n > 1 and labels == sorted(labels):
+        rng.shuffle(labels)
+    return labels
+
+
+def random_space(n, seed, values):
+    """Distances drawn from ``values``; {2, 3, 4} always gives a metric."""
+    rng = random.Random(seed)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.choice(values)
+    return new_space(shuffled_labels(n, rng), m)
+
+
+def assert_same_order_as_oracle(X, Y):
+    got = [ws.as_map() for ws in enumerate_weak_similarities(X, Y, limit=None)]
+    assert got == brute_force_weak_similarities(X, Y)
+
+
+class TestOrderParity:
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_metrics_with_unsorted_labels(self, seed, n):
+        X = random_space(n, seed, [2, 3, 4])
+        assert_same_order_as_oracle(X, X)
+        assert_same_order_as_oracle(X, random_space(n, seed + 1, [2, 3, 4]))
+
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_relabeled_partners(self, seed, n):
+        X = random_space(n, seed, [2, 3, 4])
+        Y, _ = derive_partner(X, "relabeled", seed=seed + 5)
+        assert_same_order_as_oracle(X, Y)
+        assert_same_order_as_oracle(Y, X)
+
+    @given(st.integers(0, 10_000), st.integers(2, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_two_distance_spaces(self, seed, n):
+        X = random_space(n, seed, [1, 2])
+        Y, _ = derive_partner(X, "relabeled", seed=seed + 3)
+        assert_same_order_as_oracle(X, Y)
+        assert_same_order_as_oracle(X, random_space(n, seed + 2, [1, 2]))
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    X = random_ultrametric(300, 4)
+    Y, _ = derive_partner(X, "relabeled", seed=9)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        ws = find_weak_similarity(X, Y)
+    finally:
+        sys.setrecursionlimit(old)
+    assert ws is not None
+    assert verify(X, Y, ws.as_map(), ws.scaling).ok
+
+
+class TestFloatAlgebra:
+    # square roots and cube roots of grid distances are mostly irrational,
+    # so both snowflakes are float-backed; Z stays rational
+    X = snowflake(segment_grid(5, 1), F(1, 2))
+    Y = snowflake(segment_grid(5, 3), F(1, 3))
+    Z = segment_grid(5, 2)
+
+    def test_spaces_are_float_backed(self):
+        assert isinstance(self.X.backend, FloatBackend)
+        assert isinstance(self.Y.backend, FloatBackend)
+
+    def test_compose_and_invert_verify(self):
+        X, Y, Z = self.X, self.Y, self.Z
+        xy, yz = find_weak_similarity(X, Y), find_weak_similarity(Y, Z)
+        xz = compose(xy, yz)
+        assert verify(X, Z, xz.as_map(), xz.scaling).ok
+        yx = invert(xy)
+        assert verify(Y, X, yx.as_map(), yx.scaling).ok
+        ident = compose(xy, yx)
+        assert ident.as_map() == {a: a for a in X.labels}
+        assert ident.classification.kind == "isometry"
+
+    def test_factorize_verifies(self):
+        first, second = enumerate_weak_similarities(self.X, self.Y)
+        f = factorize(first, second)
+        assert verify(self.X, self.X, f.as_map(), f.scaling).ok
+        assert f.classification.kind == "isometry"
+        assert compose(f, first).as_map() == second.as_map()
+
+    def test_compose_needs_exact_middle_values(self):
+        # a hand-made table whose Y-values only match D(Y) within tolerance
+        xy, yz = find_weak_similarity(self.X, self.Y), find_weak_similarity(self.Y, self.Z)
+        nudged = ScalingFunction(tuple((u, g * (1 + 1e-12)) for u, g in yz.scaling.pairs))
+        near = build_realization(self.Y, self.Z, yz.as_map(), nudged)
+        with pytest.raises(DomainMismatch):
+            compose(xy, near)
+
+
+BACKENDS = {"rational": RATIONAL, "float": FloatBackend()}
+# (target values t, source values f_t, kind, ratio)
+TABLES = {
+    "isometry": (["0", "1/10", "3/10"], ["0", "1/10", "3/10"], "isometry", 1),
+    "similarity": (["0", "3/10", "6/10"], ["0", "1/10", "1/5"], "similarity", 3),
+    "generic": (["0", "1", "4"], ["0", "1", "2"], "generic", None),
+}
+
+
+@pytest.mark.parametrize("source", sorted(BACKENDS))
+@pytest.mark.parametrize("target", sorted(BACKENDS))
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_classify_scaling_across_backends(source, target, table):
+    ts, vs, kind, ratio = TABLES[table]
+    sb, tb = BACKENDS[source], BACKENDS[target]
+    pairs = tuple((tb.coerce(F(t)), sb.coerce(F(v))) for t, v in zip(ts, vs))
+    cls = classify_scaling(ScalingFunction(pairs), sb, tb)
+    assert cls.kind == kind
+    if ratio is None:
+        assert cls.ratio is None
+    elif kind == "isometry" or source == target == "rational":
+        assert cls.ratio == ratio and isinstance(cls.ratio, F)
+    else:
+        assert isinstance(cls.ratio, float) and abs(cls.ratio - ratio) <= 1e-9 * ratio
