@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -481,9 +482,16 @@ def run(argv=None) -> int:
 
     envelope = ctx.envelope(result, seconds)
     if args.format == "text":
-        print("\n".join(_text_lines(envelope["report"])))
+        text = "\n".join(_text_lines(envelope["report"]))
     else:
-        print(json.dumps(envelope, indent=2))
+        text = json.dumps(envelope, indent=2)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  Point stdout at devnull so
+        # the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

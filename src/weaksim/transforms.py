@@ -4,14 +4,19 @@ A function table is a finite map A -> R+ with exact rational entries.  The
 generalized subadditivity test asks, for each x in A, whether some multiset
 of positive domain points sums to at least x at a smaller total f-cost; the
 increasing subadditive extension evaluates exactly that minimum cover cost
-at arbitrary nonnegative rationals.  Both share one branch-and-bound engine.
+at arbitrary nonnegative rationals.  Both scale points and values to
+integers and share two engines, chosen by the scaled need: up to a fixed
+size, one ascending knapsack row gives the cheapest cover of every need;
+past it, a pruned depth-first search looks for the cheapest cover of that
+one need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
+from math import ceil, gcd, lcm
 from typing import Optional, Sequence
 
 from .backends import FloatBackend, RationalBackend, parse_exact
@@ -122,54 +127,115 @@ class SubadditivityVerdict:
         return self.ok
 
 
-def _min_cover(positives_desc, x: Fraction) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Cheapest multiset of positive domain points with sum >= x (x > 0).
+# Needs up to this many scaled units are read from a dense cover row: at the
+# limit it fills in about 0.4 s with two items and 0.7 s with six, in 20 MB,
+# whatever the values.  Wider needs go to the pruned depth-first search,
+# whose time is set by how many covers tie or nearly tie, not by the sizes
+# (on the benchmark's `heavy` tables it takes 2.7 times the row's time).
+_DENSE_ROW_LIMIT = 1 << 19
 
-    Elements are chosen in non-increasing order and a branch stops as soon as
-    its sum reaches x, so only minimal covers are generated; branches whose
-    cost already exceeds the incumbent are cut.  Ties prefer the
-    lexicographically smallest multiset (sorted ascending).
+
+def _integer_items(positives) -> tuple[list[tuple[int, int]], Fraction, int]:
+    """(items, per_unit, scale): item j is (a_j * per_unit, f(a_j) * scale).
+
+    per_unit is the points' common denominator over the gcd of the scaled
+    points, scale the values' common denominator.  A multiset covers x iff
+    its sizes sum to at least ceil(x * per_unit).
     """
-    best_cost: Optional[Fraction] = None
-    best_ms: Optional[tuple[Fraction, ...]] = None
+    den = lcm(*(a.denominator for a, _ in positives))
+    sizes = [a.numerator * (den // a.denominator) for a, _ in positives]
+    unit = gcd(*sizes)
+    scale = lcm(*(v.denominator for _, v in positives))
+    costs = [v.numerator * (scale // v.denominator) for _, v in positives]
+    return [(a // unit, c) for a, c in zip(sizes, costs)], Fraction(den, unit), scale
 
-    def extend(start: int, total: Fraction, cost: Fraction, chosen: list) -> None:
-        nonlocal best_cost, best_ms
-        for idx in range(start, len(positives_desc)):
-            a, fa = positives_desc[idx]
-            new_cost = cost + fa
-            if best_cost is not None and new_cost > best_cost:
-                continue
-            chosen.append(a)
-            if total + a >= x:
-                ms = tuple(sorted(chosen))
-                if (
-                    best_cost is None
-                    or new_cost < best_cost
-                    or (new_cost == best_cost and ms < best_ms)
-                ):
-                    best_cost, best_ms = new_cost, ms
-            else:
-                extend(idx, total + a, new_cost, chosen)
-            chosen.pop()
 
-    extend(0, Fraction(0), Fraction(0), [])
-    assert best_cost is not None  # a positive element repeats without bound
-    return best_cost, best_ms
+def _cover_row(items, need: int, row: list) -> list:
+    """Extend row, where row[t] is the least cost of a multiset whose sizes
+    sum to at least t, up to t = need.  row starts as [0]."""
+    top = items[-1][0]
+    for t in range(len(row), min(need, top) + 1):
+        row.append(min([c + row[t - a] if t > a else c for a, c in items]))
+    for t in range(len(row), need + 1):
+        row.append(min([c + row[t - a] for a, c in items]))
+    return row
+
+
+def _lexmin_cover(items, row: list, need: int) -> list[int]:
+    """Indices of the lexicographically smallest (ascending) cheapest cover.
+
+    Its first element is the smallest item that starts a cheapest cover.
+    Any cheapest cover of the remainder completes it, and none of their
+    items is smaller (each lies in a cheapest cover of need), so the walk
+    repeats that choice on the remainder.
+    """
+    chosen = []
+    t = need
+    while t > 0:
+        j = next(j for j, (a, c) in enumerate(items) if c + row[max(t - a, 0)] == row[t])
+        chosen.append(j)
+        t -= items[j][0]
+    return chosen
+
+
+def _search_cover(items, need: int) -> tuple[int, list[int]]:
+    """(cost, indices): the cheapest cover of need, smallest multiset on ties.
+
+    Depth-first over minimal covers, items taken in non-increasing size with
+    an explicit stack.  A branch is cut when its cost, plus the rest of the
+    need priced at the least cost per unit among the items still allowed,
+    exceeds the incumbent; ties are kept, so the lexicographic tie-break is
+    exact.  Its work grows with the number of covers it cannot cut, not with
+    the size of the points.
+    """
+    desc = items[::-1]
+    rate, low = [], None  # rate[i]: (cost, size) of least cost per unit in desc[i:]
+    for a, c in items:
+        if low is None or c * low[1] < low[0] * a:
+            low = (c, a)
+        rate.append(low)
+    rate.reverse()
+    best = None  # (cost, ascending indices)
+    chosen = []  # indices into desc, non-decreasing
+    stack = [(0, 0, 0)]  # (next index, total, cost), one frame per depth
+    while stack:
+        i, total, cost = stack[-1]
+        if i == len(desc):
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        stack[-1] = (i + 1, total, cost)
+        a, c = desc[i]
+        new_cost = cost + c
+        if best is not None and new_cost > best[0]:
+            continue
+        if total + a >= need:
+            found = (new_cost, [len(desc) - 1 - k for k in reversed(chosen + [i])])
+            if best is None or found < best:
+                best = found
+            continue
+        rc, ra = rate[i]
+        if best is not None and new_cost * ra + (need - total - a) * rc > best[0] * ra:
+            continue
+        chosen.append(i)
+        stack.append((i, total + a, new_cost))
+    return best
 
 
 def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
     """Does x <= sum(x_i) always force f(x) <= sum(f(x_i)) over the domain?
 
     Violations are reported at the smallest offending x with the cheapest
-    covering multiset.  Zero domain points never help a cover, so covers are
-    drawn from the positive domain; for x = 0 single elements already settle
-    the question.
+    covering multiset, the lexicographically smallest one on ties.  Zero
+    domain points never help a cover, so covers are drawn from the positive
+    domain; for x = 0 single elements already settle the question.  One
+    ascending cover row answers every x up to the first violation, and the
+    search each x whose need is past the row's limit.
     """
     if not f.entries:
         raise EmptyDomain("the table has no entries")
     positives = f.positive_entries()
-    positives_desc = tuple(reversed(positives))
     if f.entries[0][0] == 0:
         f0 = f.entries[0][1]
         best = None
@@ -180,21 +246,35 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
             return SubadditivityVerdict(
                 False, x=Fraction(0), multiset=(best[0],), lhs=f0, rhs=best[1]
             )
-    for x, fx in positives:
-        cost, ms = _min_cover(positives_desc, x)
-        if cost < fx:
-            return SubadditivityVerdict(False, x=x, multiset=ms, lhs=fx, rhs=cost)
+    if not positives:
+        return SubadditivityVerdict(True)
+    items, _, scale = _integer_items(positives)
+    row = [0]
+    for (x, fx), (need, cost) in zip(positives, items):
+        if need <= _DENSE_ROW_LIMIT:
+            cheapest, cover = _cover_row(items, need, row)[need], None
+        else:
+            cheapest, cover = _search_cover(items, need)
+        if cheapest < cost:
+            if cover is None:
+                cover = _lexmin_cover(items, row, need)
+            multiset = tuple(positives[j][0] for j in cover)
+            return SubadditivityVerdict(
+                False, x=x, multiset=multiset, lhs=fx, rhs=Fraction(cheapest, scale)
+            )
     return SubadditivityVerdict(True)
 
 
 @dataclass(frozen=True)
 class SubadditiveHull:
-    """Increasing subadditive extension of a table, by minimum cover cost."""
+    """Increasing subadditive extension of a table, by minimum cover cost.
+
+    The cover row filled by `hull_eval` is kept here, so later evaluations
+    read it, or extend it once.
+    """
 
     base: FunctionTable
-
-    def positive_desc(self):
-        return tuple(reversed(self.base.positive_entries()))
+    _row: list = field(default_factory=lambda: [0], init=False, repr=False, compare=False)
 
 
 def hull(f: FunctionTable) -> SubadditiveHull:
@@ -211,14 +291,38 @@ def hull(f: FunctionTable) -> SubadditiveHull:
 
 
 def hull_eval(h: SubadditiveHull, x) -> Fraction:
-    """Evaluate the extension at x >= 0: min total cost of a cover of x."""
+    """Evaluate the extension at x >= 0: min total cost of a cover of x.
+
+    Let a* be the item of least cost per unit (the smallest on ties).  Any
+    a* other items of a cover hold some that sum to a multiple of a*, which
+    copies of a* replace at no more cost; so a cheapest cover of t >
+    (a* - 1) * max(A) contains a*, and best(t) = best(t - a*) + cost(a*).
+    Whole periods are added in closed form, so the need left is at most
+    (a* - 1) * max(A), whatever x is (Gilmore and Gomory, "The theory and
+    computation of knapsack functions", 1966).  It is read from the hull's
+    row, or searched for when it is past the row's limit.
+    """
     x = parse_exact(x)
     if x < 0:
         raise InputError("the extension is defined on nonnegative values")
     if x == 0:
         return Fraction(0)
-    cost, _ = _min_cover(h.positive_desc(), x)
-    return cost
+    items, per_unit, scale = _integer_items(h.base.positive_entries())
+    need = ceil(x * per_unit)
+    a_star, c_star = min(items, key=lambda item: (Fraction(item[1], item[0]), item[0]))
+    periodic_from = (a_star - 1) * items[-1][0] + 1
+    periods = max(0, (need - periodic_from) // a_star + 1)
+    need -= periods * a_star
+    if need <= _DENSE_ROW_LIMIT:
+        row = h._row
+        if len(row) <= need:
+            # extend a copy, so a concurrent reader never sees a partial row
+            row = _cover_row(items, need, list(row))
+            object.__setattr__(h, "_row", row)
+        cheapest = row[need]
+    else:
+        cheapest, _ = _search_cover(items, need)
+    return Fraction(cheapest + periods * c_star, scale)
 
 
 @dataclass(frozen=True)

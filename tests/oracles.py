@@ -2,14 +2,16 @@
 
 These deliberately avoid the library's search and pruning machinery: weak
 similarities are found by trying every bijection against the defining
-identity, generalized subadditivity by enumerating every candidate multiset
-up to the minimality bound, and the axiom checks by comparing values through
+identity, generalized subadditivity and cheapest covers by enumerating
+every candidate multiset up to the minimality bound (or, for large x, a
+knapsack over exact sums), and the axiom checks by comparing values through
 the backend over every triple or quadruple in label order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -164,3 +166,56 @@ def random_bijection(X: Space, Y: Space, seed: int) -> dict:
     targets = list(Y.labels)
     rng.shuffle(targets)
     return dict(zip(X.labels, targets))
+
+
+def brute_force_min_cover(positives, x) -> tuple:
+    """(cost, multiset): the cheapest cover of x, smallest multiset on ties.
+
+    A cover is a multiset of the positive points summing to at least x. It
+    is minimal when dropping its smallest element leaves less than x; every
+    single point counts, which settles x <= 0. Every minimal cover is listed
+    as a non-increasing sequence, one point at a time, and the least
+    (cost, ascending tuple) wins. Dropping a point never raises the cost, so
+    no cheaper cover is missed.
+    """
+    points = sorted(positives, reverse=True)
+    best = None
+    stack = [(0, Fraction(0), Fraction(0), ())]
+    while stack:
+        start, total, cost, chosen = stack.pop()
+        for i in range(start, len(points)):
+            a, v = points[i]
+            if total + a >= x:
+                found = (cost + v, (a,) + tuple(reversed(chosen)))
+                if best is None or found < best:
+                    best = found
+            else:
+                stack.append((i, total + a, cost + v, chosen + (a,)))
+    return best
+
+
+def exact_sum_cover_costs(positives, xs) -> dict:
+    """Cheapest cover cost of each x > 0, from one knapsack over exact sums.
+
+    Points and costs are scaled to integers by their common denominators;
+    cheapest[s] is the least cost of a multiset summing to exactly s. A
+    minimal cover of x sums to less than x + max(A), so the cost of x is the
+    least cheapest[s] over [x, x + max(A)). This is the same oracle as
+    perfbench/instances.py:min_cover_costs; one copy goes when that package
+    is next edited (ROADMAP item 6).
+    """
+    den = math.lcm(*(a.denominator for a, _ in positives))
+    scale = math.lcm(*(v.denominator for _, v in positives))
+    items = [(int(a * den), int(v * scale)) for a, v in positives]
+    top = max(a for a, _ in items)
+    needs = {x: math.ceil(x * den) for x in xs}
+    limit = max(needs.values()) + top
+    cheapest = [None] * limit
+    cheapest[0] = 0
+    for s in range(1, limit):
+        options = [cheapest[s - a] + c for a, c in items if a <= s and cheapest[s - a] is not None]
+        cheapest[s] = min(options, default=None)
+    return {
+        x: Fraction(min(c for c in cheapest[n : n + top] if c is not None), scale)
+        for x, n in needs.items()
+    }

@@ -1,7 +1,9 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +12,11 @@ import weaksim
 from weaksim import new_space, random_metric, segment_grid
 from weaksim.cli import run
 from weaksim.formats import load_space, save_space, save_table
-from weaksim.transforms import linear_table, power_table
+from weaksim.transforms import function_table, linear_table, power_table
+
+HULL_TABLE = function_table(
+    list(zip(["0", "1/40", "3/7", "1", "2"], ["0", "1/30", "2/5", "9/10", "17/10"]))
+)
 
 
 def invoke(capsys, *argv):
@@ -214,6 +220,31 @@ class TestSubadditive:
         assert code == 0
         assert rep["report"]["result"] == {"at": "5/2", "value": "6"}
 
+    def test_hull_eval_four_thousand_smallest_points_deep(self, capsys, tmp_path):
+        path = str(tmp_path / "hull.json")
+        save_table(path, HULL_TABLE)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        start = time.perf_counter()
+        try:
+            code, rep = invoke_json(capsys, "subadditive", "hull-eval", "--f", path, "--at", "100")
+        finally:
+            sys.setrecursionlimit(old)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert rep["report"]["result"] == {"at": "100", "value": "85"}
+
+    def test_decimal_table_with_a_large_denominator(self, capsys, tmp_path):
+        # points in units of 10^-7: a table, not an input error
+        path = str(tmp_path / "fine.json")
+        save_table(path, function_table([("0", "0"), ("0.0000001", "1"), ("1", "1")]))
+        code, rep = invoke_json(capsys, "subadditive", "check", "--f", path)
+        assert code == 0
+        assert rep["report"]["result"] == {"ok": True}
+        code, rep = invoke_json(capsys, "subadditive", "hull-eval", "--f", path, "--at", "5/3")
+        assert code == 0
+        assert rep["report"]["result"] == {"at": "5/3", "value": "2"}
+
 
 class TestFamilyGen:
     @pytest.mark.parametrize(
@@ -361,3 +392,34 @@ class TestInputErrors:
         argv = ["subadditive", *sub, "--f", files["double"]]
         assert run(argv) == 0
         assert run([*argv, "--epsilon", "1e-6"]) == 2
+
+
+class TestClosedPipe:
+    """A reader that stops early (`| head -c 20`) gets no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,nbytes",
+        [
+            # an envelope far larger than a pipe buffer, so the write meets
+            # the closed pipe after the reader took a few bytes
+            (["transform", "snowflake", "--in", "grid.json", "--p", "1"], 20),
+            # a small envelope, with the pipe closed before the child writes
+            (["subadditive", "hull-eval", "--f", "hull.json", "--at", "100"], 0),
+        ],
+    )
+    def test_reader_closing_early(self, tmp_path, argv, nbytes):
+        save_space(str(tmp_path / "grid.json"), segment_grid(150, 1))
+        save_table(str(tmp_path / "hull.json"), HULL_TABLE)
+        src = os.path.dirname(os.path.dirname(weaksim.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weaksim", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(nbytes) == b'{\n  "report": {\n    '[:nbytes]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode in (0, 1)
