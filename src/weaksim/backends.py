@@ -8,6 +8,7 @@ the backend so that rank extraction stays deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -62,17 +63,29 @@ class RationalBackend:
 
 @dataclass(frozen=True)
 class FloatBackend:
-    """Float values; two values are equal iff |a-b| <= eps*max(1,|a|,|b|)."""
+    """Float values; two values are equal iff |a-b| <= eps*max(1,|a|,|b|).
+
+    The tolerance must be a finite positive number, and so must every value
+    but 0: "nan" and "inf" are input errors, as on the rational backend.
+    """
 
     epsilon: float = DEFAULT_EPSILON
 
     kind = "float"
 
+    def __post_init__(self):
+        eps = self.epsilon
+        if not isinstance(eps, (int, float)) or not (0 < eps < math.inf):
+            raise InputError(f"epsilon must be finite and positive, not {eps!r}")
+
     def coerce(self, v) -> float:
         try:
-            return float(v)
+            x = float(v)
         except (TypeError, ValueError):
             raise InputError(f"not a number: {v!r}") from None
+        if not math.isfinite(x):
+            raise InputError(f"not a finite number: {v!r}")
+        return x
 
     def eq(self, a, b) -> bool:
         a = float(a)

@@ -42,10 +42,33 @@ def backend_to_obj(backend: Backend) -> Union[str, dict]:
 def backend_from_obj(obj) -> Backend:
     if obj == "rational":
         return RATIONAL
-    if isinstance(obj, dict) and "float" in obj:
+    if isinstance(obj, dict) and isinstance(obj.get("float"), dict):
         eps = obj["float"].get("epsilon", DEFAULT_EPSILON)
-        return FloatBackend(epsilon=float(eps))
+        try:
+            eps = float(eps)
+        except (TypeError, ValueError):
+            raise FormatError(f"epsilon is not a number: {eps!r}") from None
+        return FloatBackend(epsilon=eps)
     raise FormatError(f"unknown backend {obj!r}")
+
+
+_JSON_TYPES = {bool: "boolean", type(None): "null", list: "array", dict: "object"}
+
+
+def _rows_from_obj(rows, what: str) -> list:
+    """``rows`` as an array of arrays whose entries are numbers or strings.
+
+    A string row would otherwise be split into its characters, and a
+    boolean read as 0 or 1.
+    """
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError(f"{what} must be an array of arrays")
+    for row in rows:
+        bad = _JSON_TYPES.keys() & map(type, row)
+        if bad:
+            names = ", ".join(sorted(_JSON_TYPES[t] for t in bad))
+            raise FormatError(f"{what} must hold numbers or strings, not {names}")
+    return rows
 
 
 def space_to_obj(space: Space) -> dict:
@@ -59,7 +82,10 @@ def space_to_obj(space: Space) -> dict:
 
 def space_from_obj(obj: dict) -> Space:
     try:
-        return new_space(obj["labels"], obj["matrix"], backend_from_obj(obj["backend"]))
+        if not isinstance(obj["labels"], list):
+            raise FormatError("labels must be an array")
+        matrix = _rows_from_obj(obj["matrix"], "matrix")
+        return new_space(obj["labels"], matrix, backend_from_obj(obj["backend"]))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed space object: {exc}") from exc
 
@@ -124,7 +150,8 @@ def table_to_obj(table: FunctionTable) -> dict:
 
 def table_from_obj(obj: dict) -> FunctionTable:
     try:
-        return function_table(tuple((a, v) for a, v in obj["entries"]))
+        entries = _rows_from_obj(obj["entries"], "table entries")
+        return function_table(tuple((a, v) for a, v in entries))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed table object: {exc}") from exc
 

@@ -290,8 +290,13 @@ def build_realization(
     The parts are not verified here; run :func:`verify` to check the
     defining identity.
     """
+    return _realization(X, Y, mapping, scaling, classify_scaling(scaling, X.backend, Y.backend))
+
+
+def _realization(
+    X: Space, Y: Space, mapping: MappingLike, scaling: ScalingFunction, cls: Classification
+) -> WeakSimilarity:
     pairs = tuple(sorted(_normalize_mapping(mapping, X, Y).items()))
-    cls = classify_scaling(scaling, X.backend, Y.backend)
     return WeakSimilarity(
         source=X, target=Y, mapping=pairs, scaling=scaling, classification=cls
     )
@@ -315,9 +320,10 @@ def enumerate_weak_similarities(
     if limit is not None and limit <= 0:
         return out
     for mapping in islice(_search_mappings(X, Y), limit):
-        if not out:
+        if not out:  # one table, so one classification, for every result
             scaling = increasing_bijection(distance_set(Y), distance_set(X))
-        out.append(build_realization(X, Y, mapping, scaling))
+            cls = classify_scaling(scaling, X.backend, Y.backend)
+        out.append(_realization(X, Y, mapping, scaling, cls))
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat, takewhile
-from operator import add, gt, le, lt, ne
+from operator import add, attrgetter, gt, le, lt, ne
 from typing import Optional, Sequence
 
 from .backends import RATIONAL, Backend, RationalBackend, Value
@@ -117,9 +117,11 @@ class RankView:
 def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Space:
     """Validate and build a space.
 
-    Raises NotSemimetric with the first offending pair (label order) when the
-    diagonal is nonzero, the matrix is asymmetric, or an off-diagonal entry
-    is not positive; DuplicateLabel on repeated point names.
+    Each distinct entry text is parsed once; other entries go to the backend
+    one by one.  Raises NotSemimetric with the first offending pair (label
+    order) when the diagonal is nonzero, the matrix is asymmetric, or an
+    off-diagonal entry is not positive; DuplicateLabel on repeated point
+    names.
     """
     labels = tuple(str(x) for x in labels)
     if len(labels) == 0:
@@ -133,8 +135,58 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError("matrix dimensions do not match labels")
-    m = tuple(tuple(backend.coerce(v) for v in row) for row in matrix)
-    order = sorted(range(n), key=lambda k: labels[k])
+    m = _parse_rows(matrix, backend.coerce)
+    if not (isinstance(backend, RationalBackend) and _plainly_semimetric(m)):
+        _scan_semimetric(labels, m, backend)
+    return Space(labels=labels, matrix=m, backend=backend)
+
+
+_TEXT = frozenset({str})
+
+
+class _ParsedTexts(dict):
+    """Entry text -> its value, parsed on first lookup."""
+
+    def __init__(self, coerce):
+        super().__init__()
+        self.coerce = coerce
+
+    def __missing__(self, text):
+        value = self[text] = self.coerce(text)
+        return value
+
+
+def _parse_rows(matrix, coerce) -> tuple[tuple[Value, ...], ...]:
+    """Coerce every entry; equal texts share one parsed value.
+
+    A file repeats each off-diagonal text at least twice, and a space often
+    has far fewer distinct distances than entries.  Numbers are not keyed:
+    hashing a Fraction costs more than coercing it.
+    """
+    parsed = _ParsedTexts(coerce)
+    return tuple(
+        tuple(map(parsed.__getitem__, row))
+        if _TEXT.issuperset(map(type, row))
+        else tuple(parsed[v] if type(v) is str else coerce(v) for v in row)
+        for row in matrix
+    )
+
+
+def _plainly_semimetric(m) -> bool:
+    """Zero diagonal, symmetric, positive off the diagonal?  Decided on whole
+    rows of an exact rational matrix; equal texts were parsed into one
+    object, so the symmetry test mostly compares identities."""
+    numerator = attrgetter("numerator")
+    return (
+        not any(row[i] for i, row in enumerate(m))
+        and m == tuple(zip(*m))
+        and all(min(map(numerator, row[:i]), default=1) > 0 for i, row in enumerate(m))
+    )
+
+
+def _scan_semimetric(labels: tuple[str, ...], m, backend: Backend) -> None:
+    """Raise NotSemimetric at the first offending pair in label order."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
     for pos, i in enumerate(order):
         if not backend.is_zero(m[i][i]):
             raise NotSemimetric((labels[i], labels[i]), "nonzero diagonal")
@@ -145,7 +197,6 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
                 raise NotSemimetric(
                     (labels[i], labels[j]), "off-diagonal distance not positive"
                 )
-    return Space(labels=labels, matrix=m, backend=backend)
 
 
 def _label_order(space: Space) -> list[int]:

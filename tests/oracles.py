@@ -5,7 +5,9 @@ similarities are found by trying every bijection against the defining
 identity, generalized subadditivity and cheapest covers by enumerating
 every candidate multiset up to the minimality bound (or, for large x, a
 knapsack over exact sums), and the axiom checks by comparing values through
-the backend over every triple or quadruple in label order.
+the backend over every triple or quadruple in label order.  Space
+validation coerces every entry on its own and scans the pairs in label
+order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import random
 from fractions import Fraction
 
-from weaksim import Space, new_space
+from weaksim import NotSemimetric, Space, new_space
 
 
 def brute_force_weak_similarities(X: Space, Y: Space) -> list[dict]:
@@ -51,6 +53,27 @@ def brute_force_weak_similarities(X: Space, Y: Space) -> list[dict]:
                 {X.labels[src[k]]: Y.labels[perm[k]] for k in range(len(src))}
             )
     return found
+
+
+def scan_new_space(labels, matrix, backend) -> Space:
+    """``new_space`` by definition, for well-shaped input with distinct labels.
+
+    Every entry goes through ``backend.coerce`` in row order; then the
+    diagonal, symmetry and positivity are checked pair by pair, in label
+    order, through the backend's comparisons, and the first offence raises.
+    """
+    labels = tuple(str(x) for x in labels)
+    m = tuple(tuple(backend.coerce(v) for v in row) for row in matrix)
+    order = sorted(range(len(labels)), key=lambda k: labels[k])
+    for pos, i in enumerate(order):
+        if not backend.is_zero(m[i][i]):
+            raise NotSemimetric((labels[i], labels[i]), "nonzero diagonal")
+        for j in order[pos + 1 :]:
+            if not backend.eq(m[i][j], m[j][i]):
+                raise NotSemimetric((labels[i], labels[j]), "asymmetric")
+            if not backend.lt(0, m[i][j]):
+                raise NotSemimetric((labels[i], labels[j]), "off-diagonal distance not positive")
+    return Space(labels=labels, matrix=m, backend=backend)
 
 
 def _label_order(space: Space) -> list[int]:

@@ -338,6 +338,31 @@ SPACE_FILES = {
     "mismatched_dimensions": '{"labels": ["a", "b"], "backend": "rational", '
     '"matrix": [["0", "1"], ["1", "0", "2"]]}',
     "empty_label_list": '{"labels": [], "backend": "rational", "matrix": []}',
+    # not a matrix: the string labels and rows would split into characters
+    "labels_string": '{"labels": "ab", "backend": "rational", "matrix": [["0", "1"], ["1", "0"]]}',
+    "labels_object": '{"labels": {"a": 1, "b": 2}, "backend": "rational", '
+    '"matrix": [["0", "1"], ["1", "0"]]}',
+    "row_strings": '{"labels": ["a", "b"], "backend": "rational", "matrix": ["01", "10"]}',
+    "matrix_string": '{"labels": ["a"], "backend": "rational", "matrix": "0"}',
+    "boolean_entries": '{"labels": ["a", "b"], "backend": "rational", '
+    '"matrix": [[false, true], [true, false]]}',
+    "null_entry": '{"labels": ["a", "b"], "backend": "rational", "matrix": [[null, "1"], ["1", "0"]]}',
+    "array_entry": '{"labels": ["a", "b"], "backend": "rational", "matrix": [["0", ["1"]], [["1"], "0"]]}',
+    # non-finite floats and tolerances
+    "float_nan": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "1e-9"}}, '
+    '"matrix": [["0", "nan"], ["nan", "0"]]}',
+    "float_inf": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "1e-9"}}, '
+    '"matrix": [["0", "inf"], ["inf", "0"]]}',
+    "float_overflow": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "1e-9"}}, '
+    '"matrix": [["0", 1e400], [1e400, "0"]]}',
+    "epsilon_nan": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "nan"}}, '
+    '"matrix": [["0", "1"], ["1", "0"]]}',
+    "epsilon_zero": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": 0}}, '
+    '"matrix": [["0", "1"], ["1", "0"]]}',
+    "epsilon_text": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "x"}}, '
+    '"matrix": [["0", "1"], ["1", "0"]]}',
+    "float_not_an_object": '{"labels": ["a", "b"], "backend": {"float": 1}, '
+    '"matrix": [["0", "1"], ["1", "0"]]}',
 }
 
 
@@ -367,6 +392,22 @@ class TestInputErrors:
     def test_malformed_space_file(self, tmp_path, case):
         (tmp_path / "s.json").write_text(SPACE_FILES[case])
         assert_input_error(run_child(tmp_path, "check", "--in", "s.json", "--metric"))
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1e-9", "0"])
+    def test_csv_epsilon_must_be_finite_and_positive(self, tmp_path, epsilon):
+        (tmp_path / "s.csv").write_text("a,b\n0,1\n1,0\n")
+        assert_input_error(run_child(tmp_path, "check", "--in", "s.csv", f"--epsilon={epsilon}"))
+
+    def test_csv_float_entries_must_be_finite(self, tmp_path):
+        (tmp_path / "s.csv").write_text("a,b\n0,inf\ninf,0\n")
+        assert_input_error(run_child(tmp_path, "check", "--in", "s.csv", "--epsilon", "1e-9"))
+
+    @pytest.mark.parametrize(
+        "entries", ['["00", "11"]', '[[false, false], [true, true]]', '"0011"', '[[0, 0], [1, null]]']
+    )
+    def test_table_entries_must_be_pairs_of_numbers(self, tmp_path, entries):
+        (tmp_path / "t.json").write_text(f'{{"entries": {entries}}}')
+        assert_input_error(run_child(tmp_path, "subadditive", "check", "--f", "t.json"))
 
     def test_family_too_small(self, tmp_path):
         proc = run_child(tmp_path, "family", "gen", "--name", "grid", "--n", "1", "--out", "g.json")

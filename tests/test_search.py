@@ -7,6 +7,7 @@ factorize by exact table lookup.
 """
 
 import inspect
+import itertools
 import random
 import string
 import sys
@@ -26,9 +27,11 @@ from weaksim import (
     classify_scaling,
     compose,
     derive_partner,
+    distance_set,
     enumerate_weak_similarities,
     factorize,
     find_weak_similarity,
+    increasing_bijection,
     invert,
     new_space,
     random_ultrametric,
@@ -36,6 +39,7 @@ from weaksim import (
     snowflake,
     verify,
 )
+from weaksim.morphisms import _search_mappings
 
 
 def shuffled_labels(n, rng):
@@ -84,6 +88,76 @@ class TestOrderParity:
         Y, _ = derive_partner(X, "relabeled", seed=seed + 3)
         assert_same_order_as_oracle(X, Y)
         assert_same_order_as_oracle(X, random_space(n, seed + 2, [1, 2]))
+
+
+def paley_graph(q):
+    squares = {x * x % q for x in range(1, q)}
+    return [[(i - j) % q in squares for j in range(q)] for i in range(q)]
+
+
+def rook_graph():
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    return [[u != v and (u[0] == v[0] or u[1] == v[1]) for v in cells] for u in cells]
+
+
+def shrikhande_graph():
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    return [[((u[0] - v[0]) % 4, (u[1] - v[1]) % 4) in steps for v in cells] for u in cells]
+
+
+def latin_square_graph(symbol):
+    """Cells of a 6 x 6 Latin square, adjacent on a shared row, column or symbol."""
+    cells = [(r, c) for r in range(6) for c in range(6)]
+    return [
+        [u != v and (u[0] == v[0] or u[1] == v[1] or symbol(*u) == symbol(*v)) for v in cells]
+        for u in cells
+    ]
+
+
+S3 = sorted(itertools.permutations(range(3)))
+
+STRONGLY_REGULAR = {
+    "p13": lambda: paley_graph(13),
+    "p29": lambda: paley_graph(29),
+    "rook": rook_graph,
+    "shrik": shrikhande_graph,
+    "latin_z6": lambda: latin_square_graph(lambda r, c: (r + c) % 6),
+    "latin_s3": lambda: latin_square_graph(lambda r, c: tuple(S3[r][k] for k in S3[c])),
+}
+
+
+def two_distance_space(adj, near, far, seed=None):
+    """The graph's points at distance ``near`` when adjacent, ``far`` when
+    not; with a seed, relabelled by a shuffle."""
+    order = list(range(len(adj)))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    m = [[0 if i == j else near if adj[i][j] else far for j in order] for i in order]
+    return new_space([f"v{k:02d}" for k in range(len(adj))], m)
+
+
+@pytest.mark.parametrize(
+    "x, y, distances, count",
+    [
+        ("rook", "shrik", (1, 2), 0),
+        ("shrik", "rook", (1, 2), 0),
+        ("p13", "p13", (3, 6), 78),
+        ("shrik", "shrik", (1, 5), 192),
+        ("rook", "rook", (1, 2), 1152),
+        ("p29", "p29", (2, 4), 406),
+        ("latin_z6", "latin_s3", (1, 2), 0),
+    ],
+)
+def test_enumeration_classifies_like_each_result_on_its_own(x, y, distances, count):
+    """One classification serves every result: the list equals one
+    `build_realization` per mapping, each classifying the table again."""
+    X = two_distance_space(STRONGLY_REGULAR[x](), 1, 2)
+    Y = two_distance_space(STRONGLY_REGULAR[y](), *distances, seed=7)
+    found = enumerate_weak_similarities(X, Y, limit=None)
+    assert len(found) == count
+    scaling = increasing_bijection(distance_set(Y), distance_set(X))
+    assert found == [build_realization(X, Y, m, scaling) for m in _search_mappings(X, Y)]
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
