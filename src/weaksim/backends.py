@@ -65,8 +65,10 @@ class RationalBackend:
 class FloatBackend:
     """Float values; two values are equal iff |a-b| <= eps*max(1,|a|,|b|).
 
-    The tolerance must be a finite positive number, and so must every value
-    but 0: "nan" and "inf" are input errors, as on the rational backend.
+    The tolerance must be a finite positive number (any number but a bool;
+    it is stored as a float), and so must every value but 0: "nan", "inf"
+    and integers too large for a float are input errors, as on the rational
+    backend.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -75,13 +77,18 @@ class FloatBackend:
 
     def __post_init__(self):
         eps = self.epsilon
-        if not isinstance(eps, (int, float)) or not (0 < eps < math.inf):
+        try:
+            x = math.nan if isinstance(eps, (str, bool)) else float(eps)
+        except (TypeError, ValueError, OverflowError):
+            x = math.nan
+        if not 0 < x < math.inf:
             raise InputError(f"epsilon must be finite and positive, not {eps!r}")
+        object.__setattr__(self, "epsilon", x)
 
     def coerce(self, v) -> float:
         try:
             x = float(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InputError(f"not a number: {v!r}") from None
         if not math.isfinite(x):
             raise InputError(f"not a finite number: {v!r}")

@@ -44,10 +44,11 @@ def backend_from_obj(obj) -> Backend:
         return RATIONAL
     if isinstance(obj, dict) and isinstance(obj.get("float"), dict):
         eps = obj["float"].get("epsilon", DEFAULT_EPSILON)
-        try:
-            eps = float(eps)
-        except (TypeError, ValueError):
-            raise FormatError(f"epsilon is not a number: {eps!r}") from None
+        if isinstance(eps, str):  # float literals arrive as their text
+            try:
+                eps = float(eps)
+            except ValueError:
+                raise FormatError(f"epsilon is not a number: {eps!r}") from None
         return FloatBackend(epsilon=eps)
     raise FormatError(f"unknown backend {obj!r}")
 

@@ -141,9 +141,6 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     return Space(labels=labels, matrix=m, backend=backend)
 
 
-_TEXT = frozenset({str})
-
-
 class _ParsedTexts(dict):
     """Entry text -> its value, parsed on first lookup."""
 
@@ -165,10 +162,7 @@ def _parse_rows(matrix, coerce) -> tuple[tuple[Value, ...], ...]:
     """
     parsed = _ParsedTexts(coerce)
     return tuple(
-        tuple(map(parsed.__getitem__, row))
-        if _TEXT.issuperset(map(type, row))
-        else tuple(parsed[v] if type(v) is str else coerce(v) for v in row)
-        for row in matrix
+        tuple(parsed[v] if type(v) is str else coerce(v) for v in row) for row in matrix
     )
 
 

@@ -355,6 +355,12 @@ SPACE_FILES = {
     '"matrix": [["0", "inf"], ["inf", "0"]]}',
     "float_overflow": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "1e-9"}}, '
     '"matrix": [["0", 1e400], [1e400, "0"]]}',
+    "float_big_integer": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "1e-9"}}, '
+    f'"matrix": [["0", {"9" * 400}], [{"9" * 400}, "0"]]}}',
+    "epsilon_big_integer": f'{{"labels": ["a", "b"], "backend": {{"float": {{"epsilon": {"9" * 400}}}}}, '
+    '"matrix": [["0", "1"], ["1", "0"]]}',
+    "epsilon_boolean": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": true}}, '
+    '"matrix": [["0", "1"], ["1", "0"]]}',
     "epsilon_nan": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": "nan"}}, '
     '"matrix": [["0", "1"], ["1", "0"]]}',
     "epsilon_zero": '{"labels": ["a", "b"], "backend": {"float": {"epsilon": 0}}, '

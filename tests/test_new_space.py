@@ -3,6 +3,7 @@ case on whole rows; it must build the same space, or raise the same error,
 as coercing every entry and scanning the pairs in label order."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -108,13 +109,24 @@ def test_a_saved_file_parses_each_distinct_text_once(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) <= len(texts) < 40_000
 
 
-@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-9, "1e-9"])
+@pytest.mark.parametrize(
+    "epsilon", [float("nan"), float("inf"), 0.0, -1e-9, "1e-9", True, None, 10**400, F(-1, 2)]
+)
 def test_float_tolerance_must_be_finite_and_positive(epsilon):
     with pytest.raises(InputError):
         FloatBackend(epsilon=epsilon)
 
 
-@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400", float("nan"), float("inf")])
+@pytest.mark.parametrize("epsilon", [F(1, 10**9), Decimal("1e-9")])
+def test_any_finite_positive_tolerance_is_stored_as_a_float(epsilon):
+    backend = FloatBackend(epsilon=epsilon)
+    assert type(backend.epsilon) is float and backend.epsilon == float(epsilon)
+    assert new_space(["a", "b"], [[0, 1], [1, 0]], backend).matrix == ((0.0, 1.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "entry", ["nan", "inf", "-inf", "1e400", float("nan"), float("inf"), 10**400, F(10**400)]
+)
 def test_float_entries_must_be_finite(entry):
     with pytest.raises(InputError):
         new_space(["a", "b"], [[0, entry], [entry, 0]], FloatBackend())
