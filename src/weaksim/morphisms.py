@@ -5,8 +5,9 @@ increasing scaling table that pulls every Y-distance back onto the matching
 X-distance.  Because finite totally ordered sets admit exactly one increasing
 bijection onto each other, the scaling table is forced as soon as the two
 distance sets have equal size; the search is therefore an edge-colored
-complete-graph isomorphism over the rank matrices, solved by iterated color
-refinement followed by canonical-order backtracking.
+complete-graph isomorphism over the rank matrices.  Colour refinement from a
+queue of splitter cells narrows each source point's candidate images, and
+canonical-order backtracking checks every pair of ranks.
 
 Enumeration order is deterministic: source labels are processed in sorted
 order and candidate images are tried in sorted target-label order, so results
@@ -16,6 +17,7 @@ arrive in lexicographic order of the mapping.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -207,29 +209,74 @@ def classify(ws: WeakSimilarity) -> Classification:
     return classify_scaling(ws.scaling, ws.source.backend, ws.target.backend)
 
 
-def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
-    """Synchronized color refinement on two edge-colored complete graphs.
+def _splitter_key(rows, splitter):
+    """A point's key against a splitter: its ranks to the splitter's points,
+    sorted; for a one-point splitter, the one rank (ranks are symmetric)."""
+    if len(splitter) == 1:
+        return rows[splitter[0]].__getitem__
+    pick = operator.itemgetter(*splitter)
+    return lambda point: tuple(sorted(pick(rows[point])))
 
-    Points start in one cell; each round re-colors every point by the sorted
-    multiset of (edge rank, neighbor color) over its rank row, with colors
-    drawn from a table shared by both graphs.  The diagonal entry (0, own
-    color) leads every signature, so a round only splits cells.  Returns
-    None when the stable color class sizes differ, which rules out any
-    rank-preserving bijection.
+
+def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
+    """Synchronized colour refinement on two edge-coloured complete graphs.
+
+    One partition of X ⊔ Y is refined from a queue of splitter cells
+    (Berkholz, Bonsma & Grohe, ESA 2013).  Popping a splitter S splits
+    every cell with more than one member on a side by how many points of S
+    each member sees at each rank (its own graph's part of S).  A split
+    whose X and Y pieces differ in size returns None: no rank-preserving
+    bijection exists.  The largest piece keeps its cell's place, in the
+    queue or out of it, and every other piece joins the queue: a cell out
+    of the queue has split the others already, alone or inside a larger
+    splitter, so keys against its largest piece follow from those against
+    the whole and the other pieces.
+    A cell of one X and one Y point is never split, because the
+    backtracking checks every pair of ranks anyway; refinement stops when
+    the queue is empty or every cell is of that kind.  Returns the cell of
+    each point, as colours of X and of Y.
     """
-    colorsX, colorsY = [0] * len(rkX), [0] * len(rkY)
-    ncolors = 1
-    while True:
-        sigX = [tuple(sorted(zip(row, colorsX))) for row in rkX]
-        sigY = [tuple(sorted(zip(row, colorsY))) for row in rkY]
-        palette = {s: c for c, s in enumerate(sorted(set(sigX) | set(sigY)))}
-        colorsX = [palette[s] for s in sigX]
-        colorsY = [palette[s] for s in sigY]
-        if len(palette) == ncolors:
-            break
-        ncolors = len(palette)
-    if sorted(colorsX) != sorted(colorsY):
-        return None
+    n = len(rkX)
+    cells = [(list(range(n)), list(range(n)))]  # (X members, Y members)
+    queue = deque([0])
+    live = [0] if n > 1 else []  # the cells with more than one point a side
+    while queue and live:
+        SX, SY = cells[queue.popleft()]
+        keyX, keyY = _splitter_key(rkX, SX), _splitter_key(rkY, SY)
+        still = []
+        for c in live:
+            xs, ys = cells[c]
+            kx, ky = list(map(keyX, xs)), list(map(keyY, ys))
+            first = kx[0]
+            if kx.count(first) == len(kx) and ky.count(first) == len(ky):
+                still.append(c)
+                continue
+            pieces: dict = {}
+            for x, k in zip(xs, kx):
+                pieces.setdefault(k, ([], []))[0].append(x)
+            for y, k in zip(ys, ky):
+                pieces.setdefault(k, ([], []))[1].append(y)
+            parts = list(pieces.values())
+            if any(len(px) != len(py) for px, py in parts):
+                return None
+            largest = max(parts, key=lambda part: len(part[0]))
+            for part in parts:
+                if part is largest:
+                    cells[c] = part
+                    at = c
+                else:
+                    at = len(cells)
+                    cells.append(part)
+                    queue.append(at)
+                if len(part[0]) > 1:
+                    still.append(at)
+        live = still
+    colorsX, colorsY = [0] * n, [0] * n
+    for c, (xs, ys) in enumerate(cells):
+        for x in xs:
+            colorsX[x] = c
+        for y in ys:
+            colorsY[y] = c
     return colorsX, colorsY
 
 

@@ -118,10 +118,12 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     """Validate and build a space.
 
     Each distinct entry text is parsed once; other entries go to the backend
-    one by one.  Raises NotSemimetric with the first offending pair (label
-    order) when the diagonal is nonzero, the matrix is asymmetric, or an
-    off-diagonal entry is not positive; DuplicateLabel on repeated point
-    names.
+    one by one.  A matrix with an exactly zero diagonal, exact symmetry and
+    every off-diagonal entry positive (on a float space, above a tolerance
+    below 1) is accepted on whole rows; any other is scanned pair by pair.
+    Raises NotSemimetric with the first offending pair (label order) when
+    the diagonal is nonzero, the matrix is asymmetric, or an off-diagonal
+    entry is not positive; DuplicateLabel on repeated point names.
     """
     labels = tuple(str(x) for x in labels)
     if len(labels) == 0:
@@ -136,7 +138,11 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError("matrix dimensions do not match labels")
     m = _parse_rows(matrix, backend.coerce)
-    if not (isinstance(backend, RationalBackend) and _plainly_semimetric(m)):
+    if isinstance(backend, RationalBackend):
+        plain = _plainly_semimetric(m, attrgetter("numerator"), 0)
+    else:  # below a tolerance of 1, lt(0, x) holds exactly when x > epsilon
+        plain = backend.epsilon < 1 and _plainly_semimetric(m, float, backend.epsilon)
+    if not plain:
         _scan_semimetric(labels, m, backend)
     return Space(labels=labels, matrix=m, backend=backend)
 
@@ -166,15 +172,14 @@ def _parse_rows(matrix, coerce) -> tuple[tuple[Value, ...], ...]:
     )
 
 
-def _plainly_semimetric(m) -> bool:
-    """Zero diagonal, symmetric, positive off the diagonal?  Decided on whole
-    rows of an exact rational matrix; equal texts were parsed into one
-    object, so the symmetry test mostly compares identities."""
-    numerator = attrgetter("numerator")
+def _plainly_semimetric(m, key, floor) -> bool:
+    """Diagonal exactly zero, exactly symmetric, every off-diagonal entry's
+    key above floor?  Decided on whole rows; equal texts were parsed into
+    one object, so the symmetry test mostly compares identities."""
     return (
         not any(row[i] for i, row in enumerate(m))
         and m == tuple(zip(*m))
-        and all(min(map(numerator, row[:i]), default=1) > 0 for i, row in enumerate(m))
+        and all(min(map(key, row[:i]), default=math.inf) > floor for i, row in enumerate(m))
     )
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's search and pruning machinery: weak
 similarities are found by trying every bijection against the defining
-identity, generalized subadditivity and cheapest covers by enumerating
+identity, stable colourings by re-signing every point's whole rank row
+each round, generalized subadditivity and cheapest covers by enumerating
 every candidate multiset up to the minimality bound (or, for large x, a
 knapsack over exact sums), and the axiom checks by comparing values through
 the backend over every triple or quadruple in label order.  Space
@@ -53,6 +54,32 @@ def brute_force_weak_similarities(X: Space, Y: Space) -> list[dict]:
                 {X.labels[src[k]]: Y.labels[perm[k]] for k in range(len(src))}
             )
     return found
+
+
+def signature_refinement(rkX, rkY):
+    """Synchronized color refinement on two edge-colored complete graphs.
+
+    Points start in one cell; each round re-colors every point by the sorted
+    multiset of (edge rank, neighbor color) over its rank row, with colors
+    drawn from a table shared by both graphs.  The diagonal entry (0, own
+    color) leads every signature, so a round only splits cells.  Returns
+    None when the stable color class sizes differ, which rules out any
+    rank-preserving bijection.
+    """
+    colorsX, colorsY = [0] * len(rkX), [0] * len(rkY)
+    ncolors = 1
+    while True:
+        sigX = [tuple(sorted(zip(row, colorsX))) for row in rkX]
+        sigY = [tuple(sorted(zip(row, colorsY))) for row in rkY]
+        palette = {s: c for c, s in enumerate(sorted(set(sigX) | set(sigY)))}
+        colorsX = [palette[s] for s in sigX]
+        colorsY = [palette[s] for s in sigY]
+        if len(palette) == ncolors:
+            break
+        ncolors = len(palette)
+    if sorted(colorsX) != sorted(colorsY):
+        return None
+    return colorsX, colorsY
 
 
 def scan_new_space(labels, matrix, backend) -> Space:

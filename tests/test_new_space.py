@@ -20,6 +20,7 @@ from weaksim import (
     new_space,
     random_ultrametric,
 )
+from weaksim import spaces
 from weaksim.formats import load_space, save_space
 
 # Spellings of one value each: texts that differ across the triangle but
@@ -87,6 +88,49 @@ def test_float_parity_with_the_scan(case):
     labels, matrix = case
     backend = FloatBackend(epsilon=1e-9)
     assert outcome(new_space, labels, matrix, backend) == outcome(scan_new_space, labels, matrix, backend)
+
+
+@st.composite
+def tolerance_cases(draw):
+    """Float matrices at tolerances below, at and above 1, with entries at,
+    below and above the tolerance and diagonals zero only within it."""
+    eps = draw(st.sampled_from([1e-3, 0.5, 1.0, 2.0]))
+    values = [[eps, repr(eps)], [3 * eps, repr(3 * eps)], ["5", 5.0], [eps / 2]]
+    zeros = [0.0, "0", -0.0, eps / 2, repr(eps / 4)]
+    labels, matrix = draw(matrices(values, zeros))
+    return labels, matrix, FloatBackend(epsilon=eps)
+
+
+@given(case=tolerance_cases())
+@settings(max_examples=400, deadline=None)
+def test_float_parity_at_any_tolerance(case):
+    labels, matrix, backend = case
+    assert outcome(new_space, labels, matrix, backend) == outcome(scan_new_space, labels, matrix, backend)
+
+
+@pytest.mark.parametrize(
+    "epsilon, entry, diagonal",
+    [
+        (0.5, 0.5, 0.0),  # an entry exactly at the tolerance is zero
+        (1.0, 5.0, 0.0),  # at a tolerance of 1, every entry is zero
+        (2.0, 5.0, 0.0),
+        (0.5, 1.0, 0.25),  # a diagonal that is zero within the tolerance
+    ],
+)
+def test_float_boundaries_match_the_scan(epsilon, entry, diagonal):
+    matrix = [[diagonal, entry, 1.5], [entry, 0.0, 1.5], [1.5, 1.5, 0.0]]
+    backend = FloatBackend(epsilon=epsilon)
+    expected = outcome(scan_new_space, ["a", "b", "c"], matrix, backend)
+    assert outcome(new_space, ["a", "b", "c"], matrix, backend) == expected
+
+
+def test_a_plain_float_matrix_is_accepted_without_the_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("scanned pair by pair")
+
+    monkeypatch.setattr(spaces, "_scan_semimetric", scan)
+    m = [[0.0, 0.25, 2.5], [0.25, 0.0, 1e-3], [2.5, 1e-3, 0.0]]
+    assert new_space(["a", "b", "c"], m, FloatBackend(epsilon=1e-6)).matrix == tuple(map(tuple, m))
 
 
 @pytest.mark.parametrize("zero", ["0", 0])  # rows of text, or text and numbers

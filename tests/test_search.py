@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_weak_similarities
+from oracles import brute_force_weak_similarities, signature_refinement
 from weaksim import (
     RATIONAL,
     DomainMismatch,
@@ -39,7 +39,7 @@ from weaksim import (
     snowflake,
     verify,
 )
-from weaksim.morphisms import _search_mappings
+from weaksim.morphisms import _refine_colors, _search_mappings
 
 
 def shuffled_labels(n, rng):
@@ -158,6 +158,109 @@ def test_enumeration_classifies_like_each_result_on_its_own(x, y, distances, cou
     assert len(found) == count
     scaling = increasing_bijection(distance_set(Y), distance_set(X))
     assert found == [build_realization(X, Y, m, scaling) for m in _search_mappings(X, Y)]
+
+
+def graph_space(n, edges, seed=None):
+    """n points, 1 apart along the edges and 2 apart otherwise; with a seed,
+    relabelled by a shuffle."""
+    adj = [[(i, j) in edges or (j, i) in edges for j in range(n)] for i in range(n)]
+    return two_distance_space(adj, 1, 2, seed)
+
+
+@st.composite
+def refinement_pairs(draw):
+    """Pairs of generated spaces of one size: partners that refinement
+    settles, and independent draws that it mostly tells apart."""
+    kind = draw(st.sampled_from(["ultrametric", "metric", "two_distance"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "ultrametric":
+        X = random_ultrametric(draw(st.integers(1, 30)), seed)
+        other = draw(st.sampled_from(["distorted", "relabeled", "independent"]))
+        if other == "independent":
+            return X, random_ultrametric(X.n, seed + 1)
+        Y, _ = derive_partner(X, other, seed=seed + 1)
+        return X, derive_partner(Y, "relabeled", seed=seed + 2)[0]
+    values = [2, 3, 4] if kind == "metric" else [1, 2]
+    X = random_space(draw(st.integers(1, 12)), seed, values)
+    if draw(st.booleans()):
+        return X, derive_partner(X, "relabeled", seed=seed + 1)[0]
+    return X, random_space(X.n, seed + 1, values)
+
+
+def cells(colors):
+    """The set partition of X ⊔ Y that a pair of colourings makes."""
+    colorsX, colorsY = colors
+    members: dict = {}
+    for side, side_colors in (("x", colorsX), ("y", colorsY)):
+        for i, c in enumerate(side_colors):
+            members.setdefault(c, set()).add((side, i))
+    return {frozenset(m) for m in members.values()}
+
+
+def assert_refinement_agrees(X, Y):
+    """Where re-signing every row each round ends with colourings, the
+    splitter queue ends with the same cells.  Where it ends with None, no
+    mapping exists, and the queue returns None or cells that hold as many
+    X points as Y points."""
+    rkX, rkY = X._view.ranks, Y._view.ranks
+    expected, got = signature_refinement(rkX, rkY), _refine_colors(rkX, rkY)
+    if expected is not None:
+        assert got is not None and cells(got) == cells(expected)
+        return
+    assert list(_search_mappings(X, Y)) == []
+    if got is not None:
+        for cell in cells(got):
+            assert sum(side == "x" for side, _ in cell) * 2 == len(cell)
+
+
+@given(pair=refinement_pairs())
+@settings(max_examples=300, deadline=None)
+def test_refinement_matches_the_signature_oracle(pair):
+    assert_refinement_agrees(*pair)
+
+
+RING = {(i, (i + 1) % 6) for i in range(6)}
+TRIANGLES = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
+# two pendant points, one next to the point of degree 4 and one next to a
+# point of degree 2; the point of degree 4 splits the pendants' cell while
+# it waits in the queue, and the pendant that keeps the cell's place is the
+# splitter that then tells the points of degree 2 apart
+PENDANTS = {(0, 1), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4)}
+
+FIXED_PAIRS = {
+    "ring_triangles": lambda: (graph_space(6, RING), graph_space(6, TRIANGLES)),
+    "triangles_ring": lambda: (graph_space(6, TRIANGLES), graph_space(6, RING)),
+    "pendants": lambda: (graph_space(6, PENDANTS), graph_space(6, PENDANTS)),
+    "pendants_relabeled": lambda: (graph_space(6, PENDANTS), graph_space(6, PENDANTS, seed=3)),
+    "one_point": lambda: (new_space(["a"], [[0]]), new_space(["b"], [[0]])),
+    "two_points": lambda: (new_space(["a", "b"], [[0, 1], [1, 0]]), new_space(["c", "d"], [[0, 3], [3, 0]])),
+    **{
+        f"{x}_{y}": lambda x=x, y=y: (
+            two_distance_space(STRONGLY_REGULAR[x](), 1, 2),
+            two_distance_space(STRONGLY_REGULAR[y](), 1, 2, seed=7),
+        )
+        for x, y in [("rook", "shrik"), ("shrik", "rook"), ("p13", "p13"), ("rook", "rook"), ("latin_z6", "latin_s3")]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PAIRS))
+def test_refinement_matches_the_signature_oracle_on_fixed_pairs(name):
+    assert_refinement_agrees(*FIXED_PAIRS[name]())
+
+
+def test_refinement_that_fails_after_a_later_split():
+    """A 5-point path against a triangle beside an edge: every row holds the
+    same ranks in both (two ends, three middles), so the first split is
+    balanced; splitting by the ends then finds ends next to middles in the
+    path and next to each other beside the triangle."""
+    path = graph_space(5, {(0, 1), (1, 2), (2, 3), (3, 4)})
+    apart = graph_space(5, {(0, 1), (0, 2), (1, 2), (3, 4)})
+    assert sorted(map(sorted, path._view.ranks)) == sorted(map(sorted, apart._view.ranks))
+    assert find_weak_similarity(path, apart) is None
+    assert enumerate_weak_similarities(path, apart) == []
+    assert brute_force_weak_similarities(path, apart) == []
+    assert _refine_colors(path._view.ranks, apart._view.ranks) is None
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
