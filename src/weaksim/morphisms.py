@@ -231,15 +231,21 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
     of the queue has split the others already, alone or inside a larger
     splitter, so keys against its largest piece follow from those against
     the whole and the other pieces.
-    A cell of one X and one Y point is never split, because the
-    backtracking checks every pair of ranks anyway; refinement stops when
-    the queue is empty or every cell is of that kind.  Returns the cell of
-    each point, as colours of X and of Y.
+    A cell of one X point x and one Y point y (a lone pair) is not split
+    again: any split of it is unbalanced.  It is checked once at the end
+    instead.  Refinement stops when the queue is empty, or early when every
+    cell is a lone pair.  Every other cell then sees a single rank from
+    all its points to x and to y, so x and y agree on it; what is left is
+    that the ranks among the lone pairs match, pair by pair, or None is
+    returned.  So None comes back exactly when the stable partition has a
+    cell with more X points than Y points.  Returns the cell of each
+    point, as colours of X and of Y.
     """
     n = len(rkX)
     cells = [(list(range(n)), list(range(n)))]  # (X members, Y members)
     queue = deque([0])
     live = [0] if n > 1 else []  # the cells with more than one point a side
+    loneX, loneY = [], []  # the lone pairs' points, paired by index
     while queue and live:
         SX, SY = cells[queue.popleft()]
         keyX, keyY = _splitter_key(rkX, SX), _splitter_key(rkY, SY)
@@ -249,7 +255,7 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
             kx, ky = list(map(keyX, xs)), list(map(keyY, ys))
             first = kx[0]
             if kx.count(first) == len(kx) and ky.count(first) == len(ky):
-                still.append(c)
+                still.append(c)  # nothing to split
                 continue
             pieces: dict = {}
             for x, k in zip(xs, kx):
@@ -270,7 +276,14 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
                     queue.append(at)
                 if len(part[0]) > 1:
                     still.append(at)
+                else:
+                    loneX += part[0]
+                    loneY += part[1]
         live = still
+    if loneX:
+        pickX, pickY = operator.itemgetter(*loneX), operator.itemgetter(*loneY)
+        if [pickX(rkX[x]) for x in loneX] != [pickY(rkY[y]) for y in loneY]:
+            return None
     colorsX, colorsY = [0] * n, [0] * n
     for c, (xs, ys) in enumerate(cells):
         for x in xs:

@@ -11,6 +11,7 @@ import itertools
 import random
 import string
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -198,19 +199,27 @@ def cells(colors):
 
 
 def assert_refinement_agrees(X, Y):
-    """Where re-signing every row each round ends with colourings, the
-    splitter queue ends with the same cells.  Where it ends with None, no
-    mapping exists, and the queue returns None or cells that hold as many
-    X points as Y points."""
+    """The splitter queue returns None exactly where re-signing every row
+    each round does, and otherwise ends with the same cells."""
     rkX, rkY = X._view.ranks, Y._view.ranks
     expected, got = signature_refinement(rkX, rkY), _refine_colors(rkX, rkY)
-    if expected is not None:
+    if expected is None:
+        assert got is None
+        assert list(_search_mappings(X, Y)) == []
+    else:
         assert got is not None and cells(got) == cells(expected)
-        return
-    assert list(_search_mappings(X, Y)) == []
-    if got is not None:
-        for cell in cells(got):
-            assert sum(side == "x" for side, _ in cell) * 2 == len(cell)
+
+
+def lone_pairs_space(k, ab, ac, ad):
+    """A block of k points 10 apart, labelled to sort first, and points a,
+    b, c, d at 4, 5, 6 and 7 from every block point: refinement makes
+    each of a-d a cell of its own and never splits the block.  ab = cd,
+    ac = bd and ad = bc are given."""
+    labels = [f"k{i:02d}" for i in range(k)] + ["xa", "xb", "xc", "xd"]
+    rows = [[0 if i == j else 10 for j in range(k)] + [4, 5, 6, 7] for i in range(k)]
+    among = [[0, ab, ac, ad], [ab, 0, ad, ac], [ac, ad, 0, ab], [ad, ac, ab, 0]]
+    rows += [[4 + m] * k + among[m] for m in range(4)]
+    return new_space(labels, rows)
 
 
 @given(pair=refinement_pairs())
@@ -232,6 +241,8 @@ FIXED_PAIRS = {
     "triangles_ring": lambda: (graph_space(6, TRIANGLES), graph_space(6, RING)),
     "pendants": lambda: (graph_space(6, PENDANTS), graph_space(6, PENDANTS)),
     "pendants_relabeled": lambda: (graph_space(6, PENDANTS), graph_space(6, PENDANTS, seed=3)),
+    "lone_pairs": lambda: (lone_pairs_space(3, 1, 2, 3), lone_pairs_space(3, 2, 1, 3)),
+    "lone_pairs_same": lambda: (lone_pairs_space(3, 1, 2, 3), lone_pairs_space(3, 1, 2, 3)),
     "one_point": lambda: (new_space(["a"], [[0]]), new_space(["b"], [[0]])),
     "two_points": lambda: (new_space(["a", "b"], [[0, 1], [1, 0]]), new_space(["c", "d"], [[0, 3], [3, 0]])),
     **{
@@ -261,6 +272,19 @@ def test_refinement_that_fails_after_a_later_split():
     assert enumerate_weak_similarities(path, apart) == []
     assert brute_force_weak_similarities(path, apart) == []
     assert _refine_colors(path._view.ranks, apart._view.ranks) is None
+
+
+def test_lone_pairs_that_disagree_are_refused_before_the_search():
+    """Every row holds the same ranks in both spaces and every split is
+    balanced, but a and b are 1 apart in X and 2 apart in Y.  Placing the
+    block first, a search left to find that would try all 12! orders of
+    the block."""
+    X, Y = lone_pairs_space(12, 1, 2, 3), lone_pairs_space(12, 2, 1, 3)
+    assert _refine_colors(X._view.ranks, Y._view.ranks) is None
+    start = time.perf_counter()
+    assert find_weak_similarity(X, Y) is None
+    assert enumerate_weak_similarities(X, Y) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
