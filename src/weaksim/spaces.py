@@ -6,9 +6,10 @@ inequality), distance-set extraction and rank matrices all report
 deterministic witnesses: the lexicographically first offender in label order.
 
 Every question that depends only on the order of the distances reads one
-rank view per space, built on first use and cached on the space: the sorted
-distinct distances, the integer rank matrix and, for rational spaces, the
-matrix scaled to integers by the common denominator.
+rank view per space, cached on the space: the sorted distinct distances, the
+integer rank matrix and, for rational spaces, the matrix scaled to integers
+by the common denominator.  ``new_space`` builds the view in the same pass
+that parses the entries, and validates the matrix on its ranks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat, takewhile
-from operator import add, attrgetter, gt, le, lt, ne
+from operator import add, gt, le, lt, ne
 from typing import Optional, Sequence
 
 from .backends import RATIONAL, Backend, RationalBackend, Value
@@ -65,7 +66,10 @@ class Space:
 
     @cached_property
     def _view(self) -> "RankView":
-        return _grouped_values(self)
+        view = _load(self.matrix, self.backend)[1]
+        if isinstance(view, AmbiguousRanking):
+            raise view
+        return view
 
     def index(self, label: str) -> int:
         try:
@@ -97,7 +101,7 @@ class RankMatrix:
 
 @dataclass(frozen=True)
 class RankView:
-    """The order data of one space, built once by :func:`_grouped_values`:
+    """The order data of one space, built once by :func:`_load`:
     sorted distinct distances (one representative per tolerance group on a
     float space) and the matrix of their indices.  Two distances compare as
     their ranks do."""
@@ -115,15 +119,14 @@ class RankView:
 
 
 def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Space:
-    """Validate and build a space.
+    """Validate and build a space, with its rank view, in one pass.
 
-    Each distinct entry text is parsed once; other entries go to the backend
-    one by one.  A matrix with an exactly zero diagonal, exact symmetry and
-    every off-diagonal entry positive (on a float space, above a tolerance
-    below 1) is accepted on whole rows; any other is scanned pair by pair.
-    Raises NotSemimetric with the first offending pair (label order) when
-    the diagonal is nonzero, the matrix is asymmetric, or an off-diagonal
-    entry is not positive; DuplicateLabel on repeated point names.
+    The matrix is accepted on its ranks when rank 0 is zero, fills the
+    diagonal and appears nowhere else, and the ranks are symmetric; any
+    other, and a float one whose ranking is ambiguous, is scanned pair by
+    pair.  Raises NotSemimetric with the first offending pair (label order)
+    when the diagonal is nonzero, the matrix is asymmetric, or an
+    off-diagonal entry is not positive; DuplicateLabel on repeated names.
     """
     labels = tuple(str(x) for x in labels)
     if len(labels) == 0:
@@ -137,49 +140,90 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError("matrix dimensions do not match labels")
-    m = _parse_rows(matrix, backend.coerce)
-    if isinstance(backend, RationalBackend):
-        plain = _plainly_semimetric(m, attrgetter("numerator"), 0)
-    else:  # below a tolerance of 1, lt(0, x) holds exactly when x > epsilon
-        plain = backend.epsilon < 1 and _plainly_semimetric(m, float, backend.epsilon)
-    if not plain:
+    m, view = _load(matrix, backend)
+    if isinstance(view, AmbiguousRanking) or not _ranks_semimetric(view, backend):
         _scan_semimetric(labels, m, backend)
-    return Space(labels=labels, matrix=m, backend=backend)
+    space = Space(labels=labels, matrix=m, backend=backend)
+    if isinstance(view, RankView):
+        space.__dict__["_view"] = view  # fills the cached property
+    return space
 
 
-class _ParsedTexts(dict):
-    """Entry text -> its value, parsed on first lookup."""
+class _Memo(dict):
+    """Key -> fn(key), computed on first lookup."""
 
-    def __init__(self, coerce):
+    def __init__(self, fn):
         super().__init__()
-        self.coerce = coerce
+        self.fn = fn
 
-    def __missing__(self, text):
-        value = self[text] = self.coerce(text)
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
 
 
-def _parse_rows(matrix, coerce) -> tuple[tuple[Value, ...], ...]:
-    """Coerce every entry; equal texts share one parsed value.
+def _load(matrix, backend: Backend):
+    """Coerce and rank the entries in one pass: (value matrix, rank view).
 
-    A file repeats each off-diagonal text at least twice, and a space often
-    has far fewer distinct distances than entries.  Numbers are not keyed:
-    hashing a Fraction costs more than coercing it.
+    A text is keyed by itself and parsed when first seen; any other entry
+    by its coerced value: a (numerator, denominator) pair, which hashes far
+    faster than a Fraction, or the float.  One sort of the distinct values
+    turns their ids into ranks.  The matrix keeps each entry's own value.
+    Float values group where adjacent values compare equal.  A group whose
+    extremes do not, or a rank 0 that is not exactly the values equal to 0,
+    would make the ranks depend on merge order: the view is then the
+    AmbiguousRanking to raise.
     """
-    parsed = _ParsedTexts(coerce)
-    return tuple(
-        tuple(parsed[v] if type(v) is str else coerce(v) for v in row) for row in matrix
-    )
+    coerce = backend.coerce
+    exact = isinstance(backend, RationalBackend)
+    key = Fraction.as_integer_ratio if exact else float
+    ids, reps = {}, []
+
+    def entry(v):
+        value = coerce(v)
+        k = key(value)
+        i = ids.get(k)
+        if i is None:
+            i = ids[k] = len(reps)
+            reps.append(value)
+        return value, i
+
+    texts = _Memo(entry)
+    m, id_rows = [], []
+    for row in matrix:
+        values, id_row = zip(*[texts[v] if type(v) is str else entry(v) for v in row])
+        m.append(values)
+        id_rows.append(id_row)
+    m = tuple(m)
+    order = sorted(range(len(reps)), key=reps.__getitem__)
+    groups = [[order[0]]]
+    for i in order[1:]:
+        if not exact and backend.eq(reps[groups[-1][-1]], reps[i]):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if not exact:
+        for lo, hi in ((reps[g[0]], reps[g[-1]]) for g in groups):
+            if not backend.eq(lo, hi):
+                return m, AmbiguousRanking(
+                    f"values {lo!r}..{hi!r} chain within tolerance "
+                    "but their extremes do not compare equal"
+                )
+        if len(groups[0]) != len(list(takewhile(backend.is_zero, map(reps.__getitem__, order)))):
+            return m, AmbiguousRanking("rank 0 must hold exactly the values that compare equal to 0")
+    rank = {i: r for r, group in enumerate(groups) for i in group}
+    ranks = tuple(tuple(map(rank.__getitem__, row)) for row in id_rows)
+    return m, RankView(values=tuple(reps[g[0]] for g in groups), ranks=ranks)
 
 
-def _plainly_semimetric(m, key, floor) -> bool:
-    """Diagonal exactly zero, exactly symmetric, every off-diagonal entry's
-    key above floor?  Decided on whole rows; equal texts were parsed into
-    one object, so the symmetry test mostly compares identities."""
+def _ranks_semimetric(view: RankView, backend: Backend) -> bool:
+    """Rank 0 is zero, fills the diagonal and nowhere else, and the ranks are
+    symmetric?  Then so are the values, and off the diagonal all are > 0."""
+    ranks = view.ranks
     return (
-        not any(row[i] for i, row in enumerate(m))
-        and m == tuple(zip(*m))
-        and all(min(map(key, row[:i]), default=math.inf) > floor for i, row in enumerate(m))
+        backend.is_zero(view.values[0])
+        and not any(row[i] for i, row in enumerate(ranks))
+        and sum(row.count(0) for row in ranks) == len(ranks)
+        and ranks == tuple(zip(*ranks))
     )
 
 
@@ -286,51 +330,6 @@ def is_ultrametric(space: Space) -> Verdict:
         if _spanning_tree_agrees(m):
             return TRUE_VERDICT
     return _first_triple(space, m, max, lambda xz, zy, xy: less(max(xz, zy), xy))
-
-
-def _grouped_values(space: Space) -> RankView:
-    """Build the rank view of a space; read it as ``space._view``.
-
-    Float spaces group values whose adjacent gaps are within tolerance; a
-    group whose extremes do not compare equal would make the grouping depend
-    on merge order, so it raises AmbiguousRanking.  So does a grouping whose
-    rank 0 is not exactly the values that compare equal to 0: rank 0 must
-    sit on the diagonal and nowhere else.
-    """
-    backend = space.backend
-    rows = space.matrix
-    if isinstance(backend, RationalBackend):
-        # (numerator, denominator) pairs hash far faster than Fractions
-        rows = [list(map(Fraction.as_integer_ratio, row)) for row in rows]
-        value_of = {}
-        for key_row, row in zip(rows, space.matrix):
-            value_of.update(zip(key_row, row))
-        keys = sorted(value_of, key=value_of.__getitem__)
-        reps = [value_of[k] for k in keys]
-        rank_of = {k: r for r, k in enumerate(keys)}
-    else:
-        values = sorted({v for row in rows for v in row})
-        groups: list[list[float]] = []
-        for v in values:
-            if groups and backend.eq(groups[-1][-1], v):
-                groups[-1].append(v)
-            else:
-                groups.append([v])
-        rank_of = {}
-        reps = []
-        for rank, group in enumerate(groups):
-            if not backend.eq(group[0], group[-1]):
-                raise AmbiguousRanking(
-                    f"values {group[0]!r}..{group[-1]!r} chain within tolerance "
-                    "but their extremes do not compare equal"
-                )
-            reps.append(group[0])
-            for v in group:
-                rank_of[v] = rank
-        if groups[0] != list(takewhile(backend.is_zero, values)):
-            raise AmbiguousRanking("rank 0 must hold exactly the values that compare equal to 0")
-    ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in rows)
-    return RankView(values=tuple(reps), ranks=ranks)
 
 
 def distance_set(space: Space) -> DistanceSet:

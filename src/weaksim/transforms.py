@@ -13,10 +13,11 @@ one need.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
-from math import ceil, gcd, lcm
+from math import ceil, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .backends import FloatBackend, RationalBackend, parse_exact
@@ -89,16 +90,24 @@ def power_table(domain: Sequence, p) -> FunctionTable:
 
 
 def _iroot_exact(n: int, k: int) -> Optional[int]:
-    """Integer k-th root of n, or None when n is not a perfect k-th power."""
+    """Integer k-th root of n, or None when n is not a perfect k-th power.
+
+    Computed in integers, so exact at any size: Newton's iteration from
+    above stops at the floor of the root.
+    """
     if n < 0:
         return None
     if n in (0, 1) or k == 1:
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    if n.bit_length() <= k:  # 1 < root < 2
+        return None
+    if k == 2:
+        r = isqrt(n)
+    else:
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+    return r if r**k == n else None
 
 
 def _pow_exact(value: Fraction, p: Fraction) -> Optional[Fraction]:
@@ -355,6 +364,9 @@ def is_metric_preserving(f: FunctionTable) -> MetricPreservingVerdict:
     return MetricPreservingVerdict(True)
 
 
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
 def apply_function(space: Space, f: FunctionTable) -> Space:
     """Entrywise transform of the distance matrix by a table.
 
@@ -370,8 +382,10 @@ def apply_function(space: Space, f: FunctionTable) -> Space:
     for v in view.values:
         if exact:
             hit = table.get(v)
-        else:
-            hit = next((fa for a, fa in f.entries if backend.eq(float(a), v)), None)
+        else:  # a point too large for a float matches no float distance
+            hit = next(
+                (fa for a, fa in f.entries if a <= _FLOAT_MAX and backend.eq(float(a), v)), None
+            )
         if hit is None:
             raise DomainGap(v)
         mapped.append(hit)
@@ -386,7 +400,10 @@ def apply_function(space: Space, f: FunctionTable) -> Space:
                 "the table is not strictly increasing on the distance set"
             )
     if not exact:
-        mapped = [float(v) for v in mapped]
+        try:
+            mapped = [float(v) for v in mapped]
+        except OverflowError:
+            raise InputError("a table value does not fit a float") from None
     matrix = [[mapped[r] for r in row] for row in view.ranks]
     return new_space(space.labels, matrix, backend)
 
@@ -395,7 +412,8 @@ def snowflake(space: Space, p) -> Space:
     """Raise every distance to the power p (> 0).
 
     Rational spaces stay rational when every power is exactly rational;
-    otherwise the result is float-backed.  Metric inputs stay metric for
+    otherwise the result is float-backed, and a distance or power that does
+    not fit a float raises InputError.  Metric inputs stay metric for
     p <= 1; ultrametric inputs stay ultrametric for every p > 0.
     """
     p = parse_exact(p)
@@ -411,6 +429,9 @@ def snowflake(space: Space, p) -> Space:
             matrix = [[exact[r] for r in row] for row in space._view.ranks]
             return new_space(space.labels, matrix, backend)
         backend = FloatBackend()
-    fp = float(p)
-    matrix = [[float(v) ** fp for v in row] for row in space.matrix]
+    try:
+        fp = float(p)
+        matrix = [[float(v) ** fp for v in row] for row in space.matrix]
+    except OverflowError:
+        raise InputError(f"a distance or its power {p} does not fit a float") from None
     return new_space(space.labels, matrix, backend)

@@ -8,7 +8,7 @@ every candidate multiset up to the minimality bound (or, for large x, a
 knapsack over exact sums), and the axiom checks by comparing values through
 the backend over every triple or quadruple in label order.  Space
 validation coerces every entry on its own and scans the pairs in label
-order.
+order; the rank view sorts the distinct values and looks each entry up.
 """
 
 from __future__ import annotations
@@ -101,6 +101,16 @@ def scan_new_space(labels, matrix, backend) -> Space:
             if not backend.lt(0, m[i][j]):
                 raise NotSemimetric((labels[i], labels[j]), "off-diagonal distance not positive")
     return Space(labels=labels, matrix=m, backend=backend)
+
+
+def rank_view(matrix) -> tuple:
+    """(sorted distinct values, each entry's index in them), by definition.
+
+    Exact for rational matrices, and for float ones whose distinct values
+    lie farther apart than the tolerance.
+    """
+    values = sorted({v for row in matrix for v in row})
+    return tuple(values), tuple(tuple(values.index(v) for v in row) for row in matrix)
 
 
 def _label_order(space: Space) -> list[int]:

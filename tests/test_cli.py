@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import weaksim
-from weaksim import new_space, random_metric, segment_grid
+from weaksim import FloatBackend, new_space, random_metric, segment_grid
 from weaksim.cli import run
 from weaksim.formats import load_space, save_space, save_table
 from weaksim.transforms import function_table, linear_table, power_table
@@ -414,6 +414,27 @@ class TestInputErrors:
     def test_table_entries_must_be_pairs_of_numbers(self, tmp_path, entries):
         (tmp_path / "t.json").write_text(f'{{"entries": {entries}}}')
         assert_input_error(run_child(tmp_path, "subadditive", "check", "--f", "t.json"))
+
+    @pytest.mark.parametrize("p, code", [("1/2", 0), ("1/3", 2)])
+    def test_snowflake_of_a_distance_past_the_float_range(self, tmp_path, p, code):
+        save_space(str(tmp_path / "s.json"), new_space(["a", "b"], [[0, 10**400], [10**400, 0]]))
+        proc = run_child(tmp_path, "transform", "snowflake", "--in", "s.json", "--p", p)
+        if code == 2:
+            assert_input_error(proc)
+        else:
+            assert proc.returncode == 0 and proc.stderr == ""
+            result = json.loads(proc.stdout)["report"]["result"]
+            assert result["backend_changed"] is False
+            assert result["space"]["matrix"][0][1] == str(10**200)
+
+    @pytest.mark.parametrize(
+        "entries", [[["0", "0"], ["1", "1"], [str(10**400), "2"]], [["0", "0"], ["1.5", str(10**400)]]]
+    )
+    def test_apply_with_table_numbers_past_the_float_range(self, tmp_path, entries):
+        space = new_space(["a", "b"], [[0, 1.5], [1.5, 0]], FloatBackend())
+        save_space(str(tmp_path / "s.json"), space)
+        (tmp_path / "t.json").write_text(json.dumps({"entries": entries}))
+        assert_input_error(run_child(tmp_path, "transform", "apply", "--in", "s.json", "--f", "t.json"))
 
     def test_family_too_small(self, tmp_path):
         proc = run_child(tmp_path, "family", "gen", "--name", "grid", "--n", "1", "--out", "g.json")

@@ -1,16 +1,17 @@
 """Fuzzed space and table files keep the CLI's exit-code contract.
 
 Valid files are mutated (truncated text, bad numbers, wrong sizes,
-non-increasing domains) and fed to `check`, `subadditive check` and
-`subadditive hull-eval`.  Whatever the input, the CLI exits 0, 1 or 2
-without a traceback: 0 and 1 print a report, 2 prints nothing on stdout
-and one `error:` line on stderr.  An exception escaping `run` fails the
-test, as it would print a traceback.
+non-increasing domains) and fed to `check`, `transform snowflake`,
+`transform apply`, `subadditive check` and `subadditive hull-eval`.
+Whatever the input, the CLI exits 0, 1 or 2 without a traceback: 0 and 1
+print a report, 2 prints nothing on stdout and one `error:` line on stderr.
+An exception escaping `run` fails the test, as it would print a traceback.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,15 @@ SPACE = {
     ],
 }
 TABLE = {"entries": [["0", "0"], ["1/4", "1/3"], ["1", "1"], ["3/2", "7/5"], ["3", "5/2"]]}
+FLOAT_SPACE = {
+    "labels": SPACE["labels"],
+    "backend": {"float": {"epsilon": "1e-9"}},
+    "matrix": [[str(float(Fraction(v))) for v in row] for row in SPACE["matrix"]],
+}
+# covers every distance of SPACE
+APPLY_TABLE = {
+    "entries": [["0", "0"], ["1/2", "1/3"], ["1", "1"], ["5/4", "6/5"], ["3/2", "7/5"], ["2", "3/2"]]
+}
 
 BAD_NUMBERS = [
     "x", "", "1/0", "-1", "-1/3", "nan", "inf", "-inf", "1e400", "1e-400",
@@ -95,6 +105,23 @@ def test_mutated_space_file(tmp_path, text):
     path = tmp_path / "space.json"
     path.write_text(text)
     assert_contract(*run_captured("check", "--in", str(path), "--metric", "--ultrametric"))
+
+
+@given(text=mutated(SPACE), p=st.sampled_from(["1/2", "1/3", "2"]))
+@fuzz
+def test_mutated_space_file_snowflake(tmp_path, text, p):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    assert_contract(*run_captured("transform", "snowflake", "--in", str(path), "--p", p))
+
+
+@given(text=mutated(APPLY_TABLE))
+@fuzz
+def test_mutated_table_applied_to_a_float_space(tmp_path, text):
+    space, table = tmp_path / "space.json", tmp_path / "table.json"
+    space.write_text(json.dumps(FLOAT_SPACE))
+    table.write_text(text)
+    assert_contract(*run_captured("transform", "apply", "--in", str(space), "--f", str(table)))
 
 
 @given(text=mutated(TABLE), at=st.sampled_from(["5/2", "0", "1e9", "1/7", "-1", "x"]))

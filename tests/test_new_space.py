@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_new_space
+from oracles import rank_view, scan_new_space
 from weaksim import (
     RATIONAL,
     FloatBackend,
@@ -21,7 +21,8 @@ from weaksim import (
     random_ultrametric,
 )
 from weaksim import spaces
-from weaksim.formats import load_space, save_space
+from weaksim.formats import load_space, save_space, space_to_json
+from weaksim.spaces import RankView
 
 # Spellings of one value each: texts that differ across the triangle but
 # parse equal, and numbers as the generators pass them.
@@ -131,6 +132,50 @@ def test_a_plain_float_matrix_is_accepted_without_the_scan(monkeypatch):
     monkeypatch.setattr(spaces, "_scan_semimetric", scan)
     m = [[0.0, 0.25, 2.5], [0.25, 0.0, 1e-3], [2.5, 1e-3, 0.0]]
     assert new_space(["a", "b", "c"], m, FloatBackend(epsilon=1e-6)).matrix == tuple(map(tuple, m))
+
+
+# Spellings of distinct values, farther apart than the float tolerance.
+VIEW_VALUES = [
+    ["1/2", "2/4", "0.5", F(1, 2), 0.5],
+    ["3", " 3.0 ", 3, F(3)],
+    ["1e-3", "0.001", F(1, 1000)],  # the float 0.001 is not 1/1000
+    ["7.25", "29/4", F(29, 4), 7.25],
+]
+VIEW_ZEROS = ["-0", "0", "0/5", 0, F(0), -0.0, 0.0]
+
+
+@st.composite
+def valid_cases(draw):
+    """Valid spaces of rows of text, rows of numbers or mixed rows."""
+    backend = draw(st.sampled_from([RATIONAL, FloatBackend(epsilon=1e-9)]))
+    kind = draw(st.sampled_from(["text", "number", "mixed"]))
+
+    def usable(v):
+        if kind != "mixed" and isinstance(v, str) != (kind == "text"):
+            return False
+        return backend is RATIONAL or not isinstance(v, str) or "/" not in v
+
+    values = [[v for v in spellings if usable(v)] for spellings in VIEW_VALUES]
+    zeros = [v for v in VIEW_ZEROS if usable(v)]
+    n = draw(st.integers(1, 6))
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.sampled_from(zeros))
+        for j in range(i + 1, n):
+            spellings = draw(st.sampled_from(values))
+            m[i][j], m[j][i] = draw(st.sampled_from(spellings)), draw(st.sampled_from(spellings))
+    return LABELS[:n], m, backend
+
+
+@given(case=valid_cases())
+@settings(max_examples=300, deadline=None)
+def test_the_cached_view_is_the_sorted_distinct_values(case):
+    labels, matrix, backend = case
+    space, expected = new_space(labels, matrix, backend), scan_new_space(labels, matrix, backend)
+    assert vars(space)["_view"] == RankView(*rank_view(expected.matrix))
+    # each entry keeps its own value: a float -0.0 stays -0.0
+    assert repr(space.matrix) == repr(expected.matrix)
+    assert space_to_json(space) == space_to_json(expected)
 
 
 @pytest.mark.parametrize("zero", ["0", 0])  # rows of text, or text and numbers

@@ -24,6 +24,7 @@ from oracles import (
 from weaksim import (
     AmbiguousRanking,
     FloatBackend,
+    Space,
     coincreasing,
     derive_partner,
     distance_set,
@@ -232,7 +233,7 @@ class TestVerifyParity:
 class TestCachedView:
     def test_populated_cache_keeps_equality_and_hash(self):
         s = random_metric(6, 4)
-        fresh = new_space(s.labels, s.matrix)
+        fresh = Space(labels=s.labels, matrix=s.matrix, backend=s.backend)
         assert is_metric(s).ok and is_ultrametric(s).ok is False
         distance_set(s), rank_matrix(s), s.index(s.labels[-1])
         assert "_view" in vars(s) and "_view" not in vars(fresh)

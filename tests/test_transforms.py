@@ -10,6 +10,7 @@ from weaksim import (
     DomainGap,
     EmptyDomain,
     FloatBackend,
+    InputError,
     NonpositiveExponent,
     NonzeroAtZero,
     NoPositiveElement,
@@ -34,6 +35,7 @@ from weaksim import (
     verify,
 )
 from weaksim.morphisms import ScalingFunction
+from weaksim.transforms import _pow_exact
 
 
 def random_table(seed):
@@ -212,6 +214,16 @@ class TestApplyFunction:
         with pytest.raises(DomainGap):
             apply_function(s, linear_table([0, 1], 1))
 
+    def test_a_point_too_large_for_a_float_matches_no_float_distance(self):
+        s = new_space(["a", "b"], [[0, 1.5], [1.5, 0]], FloatBackend())
+        with pytest.raises(DomainGap):
+            apply_function(s, function_table([(0, 0), (1, 1), (10**400, 2)]))
+
+    def test_a_value_too_large_for_a_float_is_an_input_error(self):
+        s = new_space(["a", "b"], [[0, 1.5], [1.5, 0]], FloatBackend())
+        with pytest.raises(InputError):
+            apply_function(s, function_table([(0, 0), ("1.5", 10**400)]))
+
     def test_not_strictly_increasing(self):
         s = new_space(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.raises(NotStrictlyIncreasing):
@@ -295,6 +307,23 @@ class TestSnowflake:
         out = snowflake(s, F(1, 2))
         assert out.backend.kind == "rational"
         assert out.dist("a", "c") == 2
+
+    def test_roots_past_the_float_range_are_exact(self):
+        root = 10**25 + 12345
+        assert _pow_exact(F(root**2), F(1, 2)) == root
+        assert _pow_exact(F(root**3, 8), F(2, 3)) == F(root**2, 4)
+        assert _pow_exact(F(root**2 + 1), F(1, 2)) is None
+        assert power_table([0, 10**400], "1/2").entries[1] == (10**400, 10**200)
+        s = new_space(["a", "b"], [[0, root**2], [root**2, 0]])
+        assert snowflake(s, F(1, 2)).matrix == ((0, root), (root, 0))
+
+    def test_a_power_too_large_for_a_float_is_an_input_error(self):
+        s = new_space(["a", "b"], [[0, 1e300], [1e300, 0]], FloatBackend())
+        with pytest.raises(InputError):
+            snowflake(s, 2)
+        big = new_space(["a", "b"], [[0, 10**400], [10**400, 0]])
+        with pytest.raises(InputError):
+            snowflake(big, F(1, 3))
 
     def test_irrational_results_switch_backend(self):
         s = new_space(["a", "b"], [[0, 2], [2, 0]])
