@@ -9,6 +9,8 @@ the backend so that rank extraction stays deterministic.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,16 +26,24 @@ def parse_exact(text) -> Fraction:
     """Parse ``"p/q"``, a decimal string, or a number into an exact rational.
 
     Decimal strings convert exactly (``"0.1"`` becomes 1/10, not the nearest
-    binary float).
+    binary float).  A decimal exponent whose power of ten has more digits
+    than Python prints (``sys.get_int_max_str_digits()``) is refused before
+    the power is computed, which for a short text like ``"1e99999999"``
+    would take minutes.
     """
     if isinstance(text, Fraction):
         return text
     try:
         if isinstance(text, (int, float)):
             return Fraction(text)
-        return Fraction(str(text).strip())
+        text = str(text).strip()
+        exponent = ("e" in text or "E" in text) and re.search(r"[eE]([-+]?\d[\d_]*)$", text)
+        limit = exponent and (getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf)
+        if not exponent or abs(int(exponent[1])) < limit:
+            return Fraction(text)
     except (ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"not an exact number: {text!r}") from None
+    raise InputError(f"exponent past the {limit}-digit print limit: {text!r}")
 
 
 @dataclass(frozen=True)

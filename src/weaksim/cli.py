@@ -478,6 +478,12 @@ def run(argv=None) -> int:
     except (WeaksimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits, Python's print limit", file=sys.stderr)
+        return 2
     seconds = time.perf_counter() - start
 
     envelope = ctx.envelope(result, seconds)

@@ -206,7 +206,7 @@ def morphism_from_obj(obj: dict, source: Space, target: Space) -> WeakSimilarity
         mapping = dict(obj["map"])
         pairs = tuple(
             (target.backend.coerce(t), source.backend.coerce(v))
-            for t, v in obj["scaling"]
+            for t, v in _rows_from_obj(obj["scaling"], "scaling")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed morphism object: {exc}") from exc

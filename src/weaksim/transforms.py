@@ -5,17 +5,16 @@ generalized subadditivity test asks, for each x in A, whether some multiset
 of positive domain points sums to at least x at a smaller total f-cost; the
 increasing subadditive extension evaluates exactly that minimum cover cost
 at arbitrary nonnegative rationals.  Both scale points and values to
-integers and share two engines, chosen by the scaled need: up to a fixed
-size, one ascending knapsack row gives the cheapest cover of every need;
-past it, a pruned depth-first search looks for the cheapest cover of that
-one need.
+integers and share one engine: a best-first search for the cheapest cover
+of a need, which visits only the needs that price below the answer.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import takewhile
 from math import ceil, gcd, isqrt, lcm
 from typing import Optional, Sequence
@@ -136,100 +135,76 @@ class SubadditivityVerdict:
         return self.ok
 
 
-# Needs up to this many scaled units are read from a dense cover row: at the
-# limit it fills in about 0.4 s with two items and 0.7 s with six, in 20 MB,
-# whatever the values.  Wider needs go to the pruned depth-first search,
-# whose time is set by how many covers tie or nearly tie, not by the sizes
-# (on the benchmark's `heavy` tables it takes 2.7 times the row's time).
-_DENSE_ROW_LIMIT = 1 << 19
-
-
-def _integer_items(positives) -> tuple[list[tuple[int, int]], Fraction, int]:
-    """(items, per_unit, scale): item j is (a_j * per_unit, f(a_j) * scale).
+def _integer_items(positives) -> tuple[list[tuple[int, int]], tuple[int, int], Fraction, int]:
+    """(items, star, per_unit, scale): item j is (a_j * per_unit, f(a_j) * scale).
 
     per_unit is the points' common denominator over the gcd of the scaled
     points, scale the values' common denominator.  A multiset covers x iff
-    its sizes sum to at least ceil(x * per_unit).
+    its sizes sum to at least ceil(x * per_unit).  star is the item of least
+    cost per unit, the smallest on ties.
     """
     den = lcm(*(a.denominator for a, _ in positives))
     sizes = [a.numerator * (den // a.denominator) for a, _ in positives]
     unit = gcd(*sizes)
     scale = lcm(*(v.denominator for _, v in positives))
     costs = [v.numerator * (scale // v.denominator) for _, v in positives]
-    return [(a // unit, c) for a, c in zip(sizes, costs)], Fraction(den, unit), scale
+    items = [(a // unit, c) for a, c in zip(sizes, costs)]
+    star = min(items, key=lambda item: (Fraction(item[1], item[0]), item[0]))
+    return items, star, Fraction(den, unit), scale
 
 
-def _cover_row(items, need: int, row: list) -> list:
-    """Extend row, where row[t] is the least cost of a multiset whose sizes
-    sum to at least t, up to t = need.  row starts as [0]."""
-    top = items[-1][0]
-    for t in range(len(row), min(need, top) + 1):
-        row.append(min([c + row[t - a] if t > a else c for a, c in items]))
-    for t in range(len(row), need + 1):
-        row.append(min([c + row[t - a] for a, c in items]))
-    return row
+def _cheapest(items, star, need: int, memo: dict) -> int:
+    """Least cost of a multiset of items whose sizes sum to at least need.
 
-
-def _lexmin_cover(items, row: list, need: int) -> list[int]:
-    """Indices of the lexicographically smallest (ascending) cheapest cover.
-
-    Its first element is the smallest item that starts a cheapest cover.
-    Any cheapest cover of the remainder completes it, and none of their
-    items is smaller (each lies in a cheapest cover of need), so the walk
-    repeats that choice on the remainder.
+    A best-first (A*) search over the need left.  A node's key is its cost
+    plus a lower bound on covering the need left: whole copies of star for
+    each multiple of its size, then the rest priced at the least cost per
+    unit among the other items, or one more star if that is less.  No step
+    lowers the key (the bound is consistent), so the first node popped
+    with nothing left is a cheapest cover, and a need popped once is
+    closed.  Copies of star keep the key, so they are taken all at once: as
+    many as fit, or one when none fits.  A need answered before ends its
+    branch with its answer in memo, and this answer goes there too.  No
+    node is pushed whose key is not below that of a cover already pushed.
+    The work grows with the needs whose key is below the answer, not with
+    the size of the need.
     """
-    chosen = []
-    t = need
-    while t > 0:
-        j = next(j for j, (a, c) in enumerate(items) if c + row[max(t - a, 0)] == row[t])
-        chosen.append(j)
-        t -= items[j][0]
-    return chosen
+    if need <= 0:
+        return 0
+    if need in memo:
+        return memo[need]
+    a_star, c_star = star
+    others = [item for item in items if item != star]
+    a_low, c_low = min(others, key=lambda item: Fraction(item[1], item[0]), default=star)
 
+    def key(cost, left):  # times a_low, so that it is an integer
+        whole, part = divmod(max(left, 0), a_star)
+        return (cost + whole * c_star) * a_low + min(part * c_low, c_star * a_low)
 
-def _search_cover(items, need: int) -> tuple[int, list[int]]:
-    """(cost, indices): the cheapest cover of need, smallest multiset on ties.
-
-    Depth-first over minimal covers, items taken in non-increasing size with
-    an explicit stack.  A branch is cut when its cost, plus the rest of the
-    need priced at the least cost per unit among the items still allowed,
-    exceeds the incumbent; ties are kept, so the lexicographic tie-break is
-    exact.  Its work grows with the number of covers it cannot cut, not with
-    the size of the points.
-    """
-    desc = items[::-1]
-    rate, low = [], None  # rate[i]: (cost, size) of least cost per unit in desc[i:]
-    for a, c in items:
-        if low is None or c * low[1] < low[0] * a:
-            low = (c, a)
-        rate.append(low)
-    rate.reverse()
-    best = None  # (cost, ascending indices)
-    chosen = []  # indices into desc, non-decreasing
-    stack = [(0, 0, 0)]  # (next index, total, cost), one frame per depth
-    while stack:
-        i, total, cost = stack[-1]
-        if i == len(desc):
-            stack.pop()
-            if chosen:
-                chosen.pop()
+    alone = -(-need // a_star) * c_star  # copies of star alone
+    bound = alone * a_low  # the least key of a cover pushed so far
+    heap, closed = [(key(0, need), need, 0), (bound, 0, alone)], set()
+    while True:
+        _, left, cost = heappop(heap)
+        if left <= 0:
+            memo[need] = cost
+            return cost
+        if left in closed:
             continue
-        stack[-1] = (i + 1, total, cost)
-        a, c = desc[i]
-        new_cost = cost + c
-        if best is not None and new_cost > best[0]:
-            continue
-        if total + a >= need:
-            found = (new_cost, [len(desc) - 1 - k for k in reversed(chosen + [i])])
-            if best is None or found < best:
-                best = found
-            continue
-        rc, ra = rate[i]
-        if best is not None and new_cost * ra + (need - total - a) * rc > best[0] * ra:
-            continue
-        chosen.append(i)
-        stack.append((i, total + a, new_cost))
-    return best
+        closed.add(left)
+        if left in memo:
+            steps = [(left, memo[left])]
+        else:
+            copies = max(left // a_star, 1)
+            steps = others + [(copies * a_star, copies * c_star)]
+        for a, c in steps:
+            if left - a in closed:
+                continue
+            k = key(cost + c, left - a)
+            if k < bound:
+                heappush(heap, (k, left - a, cost + c))
+                if left - a <= 0:
+                    bound = k
 
 
 def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
@@ -238,9 +213,9 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
     Violations are reported at the smallest offending x with the cheapest
     covering multiset, the lexicographically smallest one on ties.  Zero
     domain points never help a cover, so covers are drawn from the positive
-    domain; for x = 0 single elements already settle the question.  One
-    ascending cover row answers every x up to the first violation, and the
-    search each x whose need is past the row's limit.
+    domain; for x = 0 single elements already settle the question.  The
+    cheapest cover of each x is searched in ascending order, with one memo
+    of answers, which the witness walk shares.
     """
     if not f.entries:
         raise EmptyDomain("the table has no entries")
@@ -257,33 +232,36 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
             )
     if not positives:
         return SubadditivityVerdict(True)
-    items, _, scale = _integer_items(positives)
-    row = [0]
+    items, star, _, scale = _integer_items(positives)
+    memo: dict = {}
     for (x, fx), (need, cost) in zip(positives, items):
-        if need <= _DENSE_ROW_LIMIT:
-            cheapest, cover = _cover_row(items, need, row)[need], None
-        else:
-            cheapest, cover = _search_cover(items, need)
+        cheapest = _cheapest(items, star, need, memo)
         if cheapest < cost:
-            if cover is None:
-                cover = _lexmin_cover(items, row, need)
-            multiset = tuple(positives[j][0] for j in cover)
+            # The lexicographically smallest cheapest cover: its first item is
+            # the smallest that starts a cheapest cover, and any cheapest
+            # cover of the rest completes it with no smaller item (one would
+            # start a cheapest cover of the whole), so the walk repeats that
+            # choice on the rest from the item it took.
+            multiset, t, j = [], need, 0
+            while t > 0:
+                best = _cheapest(items, star, t, memo)
+                j = next(
+                    i for i in range(j, len(items))
+                    if items[i][1] + _cheapest(items, star, t - items[i][0], memo) == best
+                )
+                multiset.append(positives[j][0])
+                t -= items[j][0]
             return SubadditivityVerdict(
-                False, x=x, multiset=multiset, lhs=fx, rhs=Fraction(cheapest, scale)
+                False, x=x, multiset=tuple(multiset), lhs=fx, rhs=Fraction(cheapest, scale)
             )
     return SubadditivityVerdict(True)
 
 
 @dataclass(frozen=True)
 class SubadditiveHull:
-    """Increasing subadditive extension of a table, by minimum cover cost.
-
-    The cover row filled by `hull_eval` is kept here, so later evaluations
-    read it, or extend it once.
-    """
+    """Increasing subadditive extension of a table, by minimum cover cost."""
 
     base: FunctionTable
-    _row: list = field(default_factory=lambda: [0], init=False, repr=False, compare=False)
 
 
 def hull(f: FunctionTable) -> SubadditiveHull:
@@ -308,29 +286,19 @@ def hull_eval(h: SubadditiveHull, x) -> Fraction:
     (a* - 1) * max(A) contains a*, and best(t) = best(t - a*) + cost(a*).
     Whole periods are added in closed form, so the need left is at most
     (a* - 1) * max(A), whatever x is (Gilmore and Gomory, "The theory and
-    computation of knapsack functions", 1966).  It is read from the hull's
-    row, or searched for when it is past the row's limit.
+    computation of knapsack functions", 1966), and one search prices it.
     """
     x = parse_exact(x)
     if x < 0:
         raise InputError("the extension is defined on nonnegative values")
     if x == 0:
         return Fraction(0)
-    items, per_unit, scale = _integer_items(h.base.positive_entries())
+    items, star, per_unit, scale = _integer_items(h.base.positive_entries())
     need = ceil(x * per_unit)
-    a_star, c_star = min(items, key=lambda item: (Fraction(item[1], item[0]), item[0]))
+    a_star, c_star = star
     periodic_from = (a_star - 1) * items[-1][0] + 1
     periods = max(0, (need - periodic_from) // a_star + 1)
-    need -= periods * a_star
-    if need <= _DENSE_ROW_LIMIT:
-        row = h._row
-        if len(row) <= need:
-            # extend a copy, so a concurrent reader never sees a partial row
-            row = _cover_row(items, need, list(row))
-            object.__setattr__(h, "_row", row)
-        cheapest = row[need]
-    else:
-        cheapest, _ = _search_cover(items, need)
+    cheapest = _cheapest(items, star, need - periods * a_star, {})
     return Fraction(cheapest + periods * c_star, scale)
 
 

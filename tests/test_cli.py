@@ -436,6 +436,42 @@ class TestInputErrors:
         (tmp_path / "t.json").write_text(json.dumps({"entries": entries}))
         assert_input_error(run_child(tmp_path, "transform", "apply", "--in", "s.json", "--f", "t.json"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subadditive", "check", "--f", "t.json"],
+            ["subadditive", "check", "--f", "far.json"],
+            ["dset", "--in", "big.json"],
+            ["morph", "find", "--x", "big.json", "--y", "big.json"],
+            ["transform", "snowflake", "--in", "mid.json", "--p", "2"],
+        ],
+    )
+    def test_values_past_the_int_print_limit(self, tmp_path, argv):
+        # Python prints no integer of more than 4,300 digits; "1e99999999"
+        # is refused before its power of ten is computed, which takes minutes
+        def two_points(d):
+            return {"labels": ["a", "b"], "backend": "rational", "matrix": [["0", d], [d, "0"]]}
+
+        files = {
+            "t.json": {"entries": [["1", "1"], ["2", "1e5000"]]},
+            "far.json": {"entries": [["1", "1"], ["2", "1e99999999"]]},
+            "big.json": two_points("1e5000"),
+            "mid.json": two_points("1e2500"),  # its square is past the limit
+        }
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        assert_input_error(run_child(tmp_path, *argv))
+
+    @pytest.mark.parametrize("first", [[[False, "0"], [True, "1"]], [[None, "0"], ["1", "1"]]])
+    def test_morphism_scaling_entries_must_be_numbers(self, files, tmp_path, first):
+        morph_path = str(tmp_path / "m.json")
+        assert run(["morph", "find", "--x", files["x"], "--y", files["x"], "--out", morph_path]) == 0
+        obj = json.loads((tmp_path / "m.json").read_text())
+        obj["scaling"][:2] = first
+        (tmp_path / "m.json").write_text(json.dumps(obj))
+        proc = run_child(tmp_path, "morph", "verify", "--x", files["x"], "--y", files["x"], "--in", "m.json")
+        assert_input_error(proc)
+
     def test_family_too_small(self, tmp_path):
         proc = run_child(tmp_path, "family", "gen", "--name", "grid", "--n", "1", "--out", "g.json")
         assert_input_error(proc)

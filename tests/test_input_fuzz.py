@@ -41,7 +41,7 @@ APPLY_TABLE = {
 
 BAD_NUMBERS = [
     "x", "", "1/0", "-1", "-1/3", "nan", "inf", "-inf", "1e400", "1e-400",
-    "0.5.5", "3/-4", " 7 ", "1_0", "0x10", None, [], {}, True, 1.5, -2, 10**30,
+    "0.5.5", "3/-4", " 7 ", "1_0", "0x10", None, [], {}, True, 1.5, -2, 10**30, "1e5000",
 ]
 
 
