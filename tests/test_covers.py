@@ -1,7 +1,9 @@
 """The integer cover engine behind generalized subadditivity and the hull.
 
 Verdicts (x, multiset, lhs, rhs) and hull values are compared with the
-brute-force cover oracle, and large covers with a knapsack over exact sums.
+brute-force cover oracle, with the search's memo of answers filled row-wise
+before each need and with a fresh memo for every need, and large covers with
+a knapsack over exact sums.
 Deep, large, wide and near-linear covers run under a recursion limit just
 above the current stack depth, with a time bound.
 """
@@ -24,6 +26,7 @@ from weaksim import (
     hull_eval,
     linear_table,
 )
+from weaksim import transforms
 
 HULL_TABLE = function_table(
     list(zip(["0", "1/40", "3/7", "1", "2"], ["0", "1/30", "2/5", "9/10", "17/10"]))
@@ -42,6 +45,29 @@ def shallow_stack_within(seconds):
     finally:
         sys.setrecursionlimit(old)
     assert time.perf_counter() - start < seconds
+
+
+@contextmanager
+def engine(name):
+    """Run the block with the memo of answers filled for every need from 1 up
+    before each search ("row"), or with an empty memo for each search, so
+    that every answer comes from the best-first search alone ("search")."""
+    cheapest = transforms._cheapest
+
+    def row(items, star, need, memo):
+        for t in range(1, need):
+            cheapest(items, star, t, memo)
+        return cheapest(items, star, need, memo)
+
+    def search(items, star, need, memo):
+        return cheapest(items, star, need, {})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_cheapest", row if name == "row" else search)
+        yield
+
+
+ENGINES = ["row", "search"]
 
 
 def oracle_verdict(table):
@@ -70,10 +96,12 @@ tables = st.lists(st.tuples(points, values), min_size=1, max_size=5, unique_by=l
 
 
 class TestOracleParity:
+    @pytest.mark.parametrize("name", ENGINES)
     @given(table=tables)
     @settings(max_examples=150, deadline=None)
-    def test_verdict_matches_the_oracle(self, table):
-        verdict = check_generalized_subadditivity(table)
+    def test_verdict_matches_the_oracle(self, name, table):
+        with engine(name):
+            verdict = check_generalized_subadditivity(table)
         assert verdict_fields(verdict) == oracle_verdict(table)
 
     @pytest.mark.parametrize(
@@ -87,20 +115,24 @@ class TestOracleParity:
             [(0, 0), (1, 1), (2, F(3, 2)), (3, 4)],
         ],
     )
-    def test_verdict_matches_the_oracle_on_edge_tables(self, rows):
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_verdict_matches_the_oracle_on_edge_tables(self, name, rows):
         table = function_table(rows)
-        verdict = check_generalized_subadditivity(table)
+        with engine(name):
+            verdict = check_generalized_subadditivity(table)
         assert verdict_fields(verdict) == oracle_verdict(table)
 
+    @pytest.mark.parametrize("name", ENGINES)
     @given(table=tables, x=st.fractions(min_value=0, max_value=2, max_denominator=7))
     @settings(max_examples=150, deadline=None)
-    def test_hull_matches_the_oracle(self, table, x):
+    def test_hull_matches_the_oracle(self, name, table, x):
         rows = [(0, 0)] + [(a, v + F(1, 5)) for a, v in table.positive_entries()]
         if len(rows) == 1:
             return
         h = hull(function_table(rows))
         expected = brute_force_min_cover(h.base.positive_entries(), x)[0] if x else 0
-        assert hull_eval(h, x) == expected
+        with engine(name):
+            assert hull_eval(h, x) == expected
 
     @given(tables, st.lists(st.fractions(min_value=0, max_value=40, max_denominator=7), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
