@@ -6,8 +6,8 @@ X-distance.  Because finite totally ordered sets admit exactly one increasing
 bijection onto each other, the scaling table is forced as soon as the two
 distance sets have equal size; the search is therefore an edge-colored
 complete-graph isomorphism over the rank matrices.  Colour refinement from a
-queue of splitter cells narrows each source point's candidate images, and
-canonical-order backtracking checks every pair of ranks.
+queue of splitter cells settles the points alone in their cells, and
+canonical-order backtracking places the rest on bitmasks of candidates.
 
 Enumeration order is deterministic: source labels are processed in sorted
 order and candidate images are tried in sorted target-label order, so results
@@ -17,7 +17,7 @@ arrive in lexicographic order of the mapping.
 from __future__ import annotations
 
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +35,6 @@ from .spaces import (
     DistanceSet,
     Space,
     Verdict,
-    _in_order,
     _label_order,
     distance_set,
     new_space,
@@ -237,9 +236,10 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
     cell is a lone pair.  Every other cell then sees a single rank from
     all its points to x and to y, so x and y agree on it; what is left is
     that the ranks among the lone pairs match, pair by pair, or None is
-    returned.  So None comes back exactly when the stable partition has a
-    cell with more X points than Y points.  Returns the cell of each
-    point, as colours of X and of Y.
+    returned.  The search takes the lone pairs as settled, and this last
+    comparison is what makes that exact.  So None comes back exactly when
+    the stable partition has a cell with more X points than Y points.
+    Returns the cell of each point, as colours of X and of Y.
     """
     n = len(rkX)
     cells = [(list(range(n)), list(range(n)))]  # (X members, Y members)
@@ -293,12 +293,18 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
     return colorsX, colorsY
 
 
-def _search_mappings(X: Space, Y: Space) -> Iterator[dict[str, str]]:
-    """Yield all rank-preserving bijections in canonical order.
+def _search_mappings(X: Space, Y: Space) -> Iterator[tuple[tuple[str, str], ...]]:
+    """Yield all rank-preserving bijections in canonical order, each as
+    label pairs sorted by source label.
 
-    Source points are placed in label order; ``stack[k]`` iterates the
-    remaining candidate images of the k-th one, so the search depth is
-    bounded by memory, not by the interpreter's recursion limit.
+    Refinement settles the lone pairs; the free points, those of larger
+    cells, are placed in source label order.  Bit q of a mask is the q-th
+    free target in label order.  A point's candidates are its cell's bits
+    ANDed, per placed point, with the free targets at the same rank from
+    its image: every bit left fits all placed points, and no used image
+    survives, as rank 0 is only on the diagonal.  ``stack[k]`` holds the
+    k-th free point's untried bits, taken lowest first, so the search
+    depth is bounded by memory, not by the recursion limit.
     """
     if X.n != Y.n or len(X._view.values) != len(Y._view.values):
         return
@@ -307,39 +313,52 @@ def _search_mappings(X: Space, Y: Space) -> Iterator[dict[str, str]]:
     if refined is None:
         return
     colorsX, colorsY = refined
+    size = Counter(colorsX)  # a cell has as many Y points as X points
     src = _label_order(X)
-    rows = _in_order(rkX, src)
-    by_color: dict[int, list[int]] = {}
-    for j in _label_order(Y):
-        by_color.setdefault(colorsY[j], []).append(j)
-    candidates = [by_color.get(colorsX[i], []) for i in src]
+    free = [a for a, i in enumerate(src) if size[colorsX[i]] > 1]  # positions in src
+    targets = [j for j in _label_order(Y) if size[colorsY[j]] > 1]
+    lone = {colorsY[j]: Y.labels[j] for j in range(Y.n) if size[colorsY[j]] == 1}
+    labels, images = [X.labels[i] for i in src], [lone.get(colorsX[i]) for i in src]
+    if not free:
+        yield tuple(zip(labels, images))
+        return
+    bit = [1 << q for q in range(len(targets))]
+    cell_bits: dict[int, int] = {}
+    at_rank: list[dict] = [{} for _ in targets]  # [q][r]: free targets at rank r from the q-th
+    for q, j in enumerate(targets):
+        cell_bits[colorsY[j]] = cell_bits.get(colorsY[j], 0) | bit[q]
+        row, mine = rkY[j], at_rank[q]
+        for p in range(q + 1, len(targets)):  # ranks are symmetric: fill both maps
+            r, theirs = row[targets[p]], at_rank[p]
+            mine[r] = mine.get(r, 0) | bit[p]
+            theirs[r] = theirs.get(r, 0) | bit[q]
+    points = [src[a] for a in free]
+    pick = operator.itemgetter(*points)  # a free cell has two points or more
+    rows = [pick(rkX[i]) for i in points]
+    cells = [cell_bits[colorsX[i]] for i in points]
 
-    image: list[int] = []  # image[m] is the target of src[m]
-    used = [False] * X.n
-    stack = [iter(candidates[0])]
+    image: list[int] = []  # image[m] is the bit of the m-th free point's target
+    stack = [cells[0]]
     while stack:
-        k = len(stack) - 1
-        if len(image) > k:  # back at level k: release its previous image
-            used[image.pop()] = False
-        row = rows[k]
-        for j in stack[-1]:
-            if used[j]:
-                continue
-            target_row = rkY[j]
-            for m, prev in enumerate(image):
-                if row[m] != target_row[prev]:
-                    break
-            else:
-                image.append(j)
-                used[j] = True
-                break
-        else:
+        bits = stack[-1]
+        if not bits:  # level exhausted: back one level and release its image
             stack.pop()
+            del image[-1:]
             continue
-        if len(image) == X.n:
-            yield {X.labels[i]: Y.labels[j] for i, j in zip(src, image)}
-        else:
-            stack.append(iter(candidates[k + 1]))
+        low = bits & -bits
+        stack[-1] = bits ^ low
+        image.append(low.bit_length() - 1)
+        k = len(image)
+        if k == len(free):
+            for a, q in zip(free, image):
+                images[a] = Y.labels[targets[q]]
+            yield tuple(zip(labels, images))
+            image.pop()
+            continue
+        bits = cells[k]
+        for r, q in zip(rows[k], image):
+            bits &= at_rank[q].get(r, 0)
+        stack.append(bits)
 
 
 def build_realization(
@@ -350,13 +369,8 @@ def build_realization(
     The parts are not verified here; run :func:`verify` to check the
     defining identity.
     """
-    return _realization(X, Y, mapping, scaling, classify_scaling(scaling, X.backend, Y.backend))
-
-
-def _realization(
-    X: Space, Y: Space, mapping: MappingLike, scaling: ScalingFunction, cls: Classification
-) -> WeakSimilarity:
     pairs = tuple(sorted(_normalize_mapping(mapping, X, Y).items()))
+    cls = classify_scaling(scaling, X.backend, Y.backend)
     return WeakSimilarity(
         source=X, target=Y, mapping=pairs, scaling=scaling, classification=cls
     )
@@ -379,11 +393,11 @@ def enumerate_weak_similarities(
     out: list[WeakSimilarity] = []
     if limit is not None and limit <= 0:
         return out
-    for mapping in islice(_search_mappings(X, Y), limit):
+    for pairs in islice(_search_mappings(X, Y), limit):
         if not out:  # one table, so one classification, for every result
             scaling = increasing_bijection(distance_set(Y), distance_set(X))
             cls = classify_scaling(scaling, X.backend, Y.backend)
-        out.append(_realization(X, Y, mapping, scaling, cls))
+        out.append(WeakSimilarity(X, Y, pairs, scaling, cls))
     return out
 
 

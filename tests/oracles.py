@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's search and pruning machinery: weak
 similarities are found by trying every bijection against the defining
-identity, stable colourings by re-signing every point's whole rank row
-each round, generalized subadditivity and cheapest covers by enumerating
-every candidate multiset up to the minimality bound (or, for large x, a
-knapsack over exact sums), and the axiom checks by comparing values through
-the backend over every triple or quadruple in label order.  Space
-validation coerces every entry on its own and scans the pairs in label
-order; the rank view sorts the distinct values and looks each entry up.
+identity (or, for larger spaces, by backtracking over the stable colour
+classes with a pairwise rank check per candidate), stable colourings by
+re-signing every point's whole rank row each round, generalized
+subadditivity and cheapest covers by enumerating every candidate multiset
+up to the minimality bound (or, for large x, a knapsack over exact sums),
+and the axiom checks by comparing values through the backend over every
+triple or quadruple in label order.  Space validation coerces every entry
+on its own and scans the pairs in label order; the rank view sorts the
+distinct values and looks each entry up.
 """
 
 from __future__ import annotations
@@ -80,6 +82,55 @@ def signature_refinement(rkX, rkY):
     if sorted(colorsX) != sorted(colorsY):
         return None
     return colorsX, colorsY
+
+
+def pairwise_search(X: Space, Y: Space):
+    """Every rank-preserving bijection X -> Y, in canonical order, by
+    backtracking with a pairwise check per candidate.
+
+    Source points are placed in label order, lone ones included.  Each tries
+    the targets of its stable colour class (:func:`signature_refinement`)
+    in label order, skips those already used, and keeps the first whose
+    ranks to every point placed so far equal the source point's.  Yields
+    label pairs sorted by source label.  Exact-rational spaces only.
+    """
+    valuesX, rkX = rank_view(X.matrix)
+    valuesY, rkY = rank_view(Y.matrix)
+    if X.n != Y.n or len(valuesX) != len(valuesY):
+        return
+    refined = signature_refinement(rkX, rkY)
+    if refined is None:
+        return
+    colorsX, colorsY = refined
+    src, tgt = _label_order(X), _label_order(Y)
+    candidates = [[j for j in tgt if colorsY[j] == colorsX[i]] for i in src]
+    rows = [[rkX[i][m] for m in src] for i in src]  # X's ranks in label order
+    image: list[int] = []  # image[m] is the target of src[m]
+    used = [False] * Y.n
+    stack = [iter(candidates[0])]
+    while stack:
+        k = len(stack) - 1
+        if len(image) > k:  # back at level k: release its previous image
+            used[image.pop()] = False
+        row = rows[k]
+        for j in stack[-1]:
+            if used[j]:
+                continue
+            target_row = rkY[j]
+            for m, prev in enumerate(image):
+                if row[m] != target_row[prev]:
+                    break
+            else:
+                image.append(j)
+                used[j] = True
+                break
+        else:
+            stack.pop()
+            continue
+        if len(image) == X.n:
+            yield tuple((X.labels[i], Y.labels[j]) for i, j in zip(src, image))
+        else:
+            stack.append(iter(candidates[k + 1]))
 
 
 def scan_new_space(labels, matrix, backend) -> Space:

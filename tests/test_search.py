@@ -2,8 +2,9 @@
 
 Enumeration must list exactly the brute-force oracle's mappings in the
 oracle's (canonical) order, at any depth the recursion limit would not
-allow; realizations found between float spaces must compose, invert and
-factorize by exact table lookup.
+allow, and the bitmask search must yield the pairwise-check search's
+sequence at sizes brute force cannot reach; realizations found between
+float spaces must compose, invert and factorize by exact table lookup.
 """
 
 import inspect
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_weak_similarities, signature_refinement
+from oracles import brute_force_weak_similarities, pairwise_search, signature_refinement
 from weaksim import (
     RATIONAL,
     DomainMismatch,
@@ -285,6 +286,70 @@ def test_lone_pairs_that_disagree_are_refused_before_the_search():
     assert find_weak_similarity(X, Y) is None
     assert enumerate_weak_similarities(X, Y) == []
     assert time.perf_counter() - start < 1.0
+
+
+def assert_same_sequence_as_pairwise(X, Y, limit=500):
+    """The first ``limit`` mappings of both searches, order included."""
+    got = itertools.islice(_search_mappings(X, Y), limit)
+    assert list(got) == list(itertools.islice(pairwise_search(X, Y), limit))
+
+
+class TestPairwiseSearchParity:
+    """Settled lone pairs and candidate bitmasks change no result and no
+    position in the order, on ultrametrics of up to 48 points and on
+    two-distance spaces, where brute force stops at 7 points."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 48), st.sampled_from(["relabeled", "scaled", "distorted"]))
+    @settings(max_examples=30, deadline=None)
+    def test_ultrametrics(self, seed, n, mode):
+        X = random_ultrametric(n, seed)
+        Y, _ = derive_partner(X, mode, ratio=F(3, 2), seed=seed + 1)
+        Y, _ = derive_partner(Y, "relabeled", seed=seed + 2)
+        assert_same_sequence_as_pairwise(X, X)
+        assert_same_sequence_as_pairwise(X, Y)
+        assert_same_sequence_as_pairwise(Y, X)
+
+    @given(st.integers(0, 10_000), st.integers(2, 14))
+    @settings(max_examples=40, deadline=None)
+    def test_two_distance_spaces(self, seed, n):
+        X = random_space(n, seed, [1, 2])
+        Y, _ = derive_partner(X, "relabeled", seed=seed + 3)
+        assert_same_sequence_as_pairwise(X, Y)
+        assert_same_sequence_as_pairwise(X, random_space(n, seed + 2, [1, 2]))
+
+    @pytest.mark.parametrize("name", sorted(FIXED_PAIRS))
+    def test_fixed_pairs(self, name):
+        assert_same_sequence_as_pairwise(*FIXED_PAIRS[name](), limit=None)
+
+
+def elapsed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+class TestSearchTimeBounds:
+    """Two-distance spaces of strongly regular graphs, which colour
+    refinement cannot split: the search alone does the work."""
+
+    def test_paley_53_enumeration(self):
+        X = two_distance_space(paley_graph(53), 1, 2)
+        Y = two_distance_space(paley_graph(53), 1, 2, seed=11)
+        found, seconds = elapsed(lambda: enumerate_weak_similarities(X, Y, limit=None))
+        assert seconds < 8.0
+        maps = [ws.mapping for ws in found]
+        assert len(maps) == 53 * 52 // 2  # |Aut(Paley(53))|
+        assert maps == sorted(set(maps))  # distinct, in lexicographic order
+        assert verify(X, Y, maps[0], found[0].scaling).ok
+        assert verify(X, Y, maps[-1], found[-1].scaling).ok
+
+    @pytest.mark.parametrize(
+        "name, seconds", [("latin_z6_latin_s3", 0.5), ("rook_shrik", 0.1), ("shrik_rook", 0.1)]
+    )
+    def test_no_morphism_found_within(self, name, seconds):
+        X, Y = FIXED_PAIRS[name]()
+        found, took = elapsed(lambda: find_weak_similarity(X, Y))
+        assert found is None and took < seconds
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
