@@ -15,44 +15,11 @@ import json
 import os
 import sys
 import time
-from typing import Optional
 
 from . import __version__
 from .errors import NotSemimetric, WeaksimError
-from .families import (
-    FamilySpec,
-    example_2_6,
-    example_2_6_star,
-    random_metric,
-    random_ultrametric,
-    segment_grid,
-    snowflake_segment,
-)
-from .formats import (
-    load_morphism,
-    load_space,
-    load_table,
-    morphism_to_obj,
-    save_morphism,
-    save_space,
-    space_to_obj,
-    backend_to_obj,
-)
-from .morphisms import (
-    compose,
-    enumerate_weak_similarities,
-    factorize,
-    find_weak_similarity,
-    verify,
-)
-from .spaces import distance_set, is_metric, is_ultrametric
-from .transforms import (
-    apply_function,
-    check_generalized_subadditivity,
-    hull,
-    hull_eval,
-    snowflake,
-)
+
+# Each handler imports what it runs, so a command loads only its own modules.
 
 
 def _digest(path: str) -> str:
@@ -97,12 +64,16 @@ class _Ctx:
         return {"report": report, "timing": {"seconds": seconds}}
 
 
-def _load_space(ctx: _Ctx, path: str, epsilon: Optional[float]):
+def _load_space(ctx: _Ctx, path: str, epsilon: float | None):
+    from .formats import load_space
+
     ctx.read_input(path)
     return load_space(path, epsilon=epsilon)
 
 
 def _cmd_check(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .spaces import is_metric, is_ultrametric
+
     checks = []
     try:
         space = _load_space(ctx, args.infile, args.epsilon)
@@ -130,6 +101,9 @@ def _cmd_check(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_dset(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import backend_to_obj
+    from .spaces import distance_set
+
     space = _load_space(ctx, args.infile, args.epsilon)
     dset = distance_set(space)
     fmt = space.backend.format
@@ -140,6 +114,9 @@ def _cmd_dset(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_morph_find(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import morphism_to_obj, save_morphism
+    from .morphisms import find_weak_similarity, verify
+
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
     ws = find_weak_similarity(X, Y)
@@ -154,6 +131,9 @@ def _cmd_morph_find(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_morph_enum(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import morphism_to_obj
+    from .morphisms import enumerate_weak_similarities, verify
+
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
     limit = None if args.limit == 0 else args.limit
@@ -181,6 +161,9 @@ def _cmd_morph_classify(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_morph_verify(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import load_morphism
+    from .morphisms import verify
+
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
     ctx.read_input(args.infile)
@@ -190,6 +173,9 @@ def _cmd_morph_verify(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_morph_factorize(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import load_morphism, morphism_to_obj, save_morphism
+    from .morphisms import compose, factorize, verify
+
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
     path1, path2 = args.infiles
@@ -209,6 +195,9 @@ def _cmd_morph_factorize(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_transform_apply(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import backend_to_obj, load_table, save_space, space_to_obj
+    from .transforms import apply_function
+
     space = _load_space(ctx, args.infile, args.epsilon)
     ctx.read_input(args.table)
     table = load_table(args.table)
@@ -224,6 +213,9 @@ def _cmd_transform_apply(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_transform_snowflake(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import backend_to_obj, save_space, space_to_obj
+    from .transforms import snowflake
+
     space = _load_space(ctx, args.infile, args.epsilon)
     out = snowflake(space, args.p)
     changed = type(out.backend) is not type(space.backend)
@@ -245,6 +237,9 @@ def _cmd_transform_snowflake(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_subadditive_check(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import load_table
+    from .transforms import check_generalized_subadditivity
+
     ctx.read_input(args.table)
     table = load_table(args.table)
     verdict = check_generalized_subadditivity(table)
@@ -260,6 +255,9 @@ def _cmd_subadditive_check(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_subadditive_hull_eval(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .formats import load_table
+    from .transforms import hull, hull_eval
+
     ctx.read_input(args.table)
     table = load_table(args.table)
     h = hull(table)
@@ -288,6 +286,18 @@ def _family_metadata(name: str, args) -> dict:
 
 
 def _cmd_family_gen(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .families import (
+        FamilySpec,
+        example_2_6,
+        example_2_6_star,
+        random_metric,
+        random_ultrametric,
+        segment_grid,
+        snowflake_segment,
+    )
+    from .formats import save_morphism, save_space
+    from .morphisms import verify
+
     name = args.name
     out = args.out
     result: dict = {"family": _family_metadata(name, args)}

@@ -9,11 +9,10 @@ float.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .backends import (
     DEFAULT_EPSILON,
@@ -23,14 +22,11 @@ from .backends import (
     RationalBackend,
 )
 from .errors import FormatError
-from .morphisms import (
-    Classification,
-    ScalingFunction,
-    WeakSimilarity,
-    build_realization,
-)
 from .spaces import Space, new_space
-from .transforms import FunctionTable, function_table
+
+if TYPE_CHECKING:
+    from .morphisms import Classification, WeakSimilarity
+    from .transforms import FunctionTable
 
 
 def backend_to_obj(backend: Backend) -> Union[str, dict]:
@@ -110,6 +106,8 @@ def space_from_json(text: str) -> Space:
 def space_to_csv(space: Space) -> str:
     if not isinstance(space.backend, RationalBackend):
         raise FormatError("CSV carries no backend metadata; use JSON for float spaces")
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(space.labels)
@@ -120,6 +118,8 @@ def space_to_csv(space: Space) -> str:
 
 
 def space_from_csv(text: str, epsilon: Optional[float] = None) -> Space:
+    import csv
+
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise FormatError("empty CSV")
@@ -150,6 +150,8 @@ def table_to_obj(table: FunctionTable) -> dict:
 
 
 def table_from_obj(obj: dict) -> FunctionTable:
+    from .transforms import function_table
+
     try:
         entries = _rows_from_obj(obj["entries"], "table entries")
         return function_table(tuple((a, v) for a, v in entries))
@@ -202,6 +204,8 @@ def morphism_to_json(ws: WeakSimilarity, verified: bool = True) -> str:
 
 def morphism_from_obj(obj: dict, source: Space, target: Space) -> WeakSimilarity:
     """Rebuild a weak similarity from its report, given the two spaces."""
+    from .morphisms import ScalingFunction, build_realization
+
     try:
         mapping = dict(obj["map"])
         pairs = tuple(

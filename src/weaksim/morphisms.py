@@ -17,6 +17,7 @@ arrive in lexicographic order of the mapping.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,6 +394,8 @@ def enumerate_weak_similarities(
     out: list[WeakSimilarity] = []
     if limit is not None and limit <= 0:
         return out
+    if limit is not None and limit > sys.maxsize:  # past islice's range; never reached
+        limit = None
     for pairs in islice(_search_mappings(X, Y), limit):
         if not out:  # one table, so one classification, for every result
             scaling = increasing_bijection(distance_set(Y), distance_set(X))

@@ -11,7 +11,7 @@ import pytest
 import weaksim
 from weaksim import FloatBackend, new_space, random_metric, segment_grid
 from weaksim.cli import run
-from weaksim.formats import load_space, save_space, save_table
+from weaksim.formats import load_space, save_morphism, save_space, save_table
 from weaksim.transforms import function_table, linear_table, power_table
 
 HULL_TABLE = function_table(
@@ -124,6 +124,15 @@ class TestMorph:
             capsys, "morph", "enum", "--x", files["eq"], "--y", files["eq"], "--limit", "2"
         )
         assert rep["report"]["result"]["count"] == 2
+
+    def test_enum_limit_past_sys_maxsize_is_unbounded(self, tmp_path, files):
+        argv = ["morph", "enum", "--x", files["eq"], "--y", files["eq"], "--limit"]
+        unbounded = run_child(tmp_path, *argv, "0")
+        huge = run_child(tmp_path, *argv, str(sys.maxsize + 1))
+        assert (huge.returncode, huge.stderr) == (0, "")
+        result = json.loads(huge.stdout)["report"]["result"]
+        assert result["count"] == 6
+        assert result["morphisms"] == json.loads(unbounded.stdout)["report"]["result"]["morphisms"]
 
     def test_classify_reports_ratio(self, capsys, files):
         code, rep = invoke_json(
@@ -527,3 +536,66 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert err == b""
         assert proc.returncode in (0, 1)
+
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from weaksim.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+HEAVY = {"weaksim.morphisms", "weaksim.transforms", "weaksim.families"}
+# the one heavy module each command group runs; `check` and `dset` run none
+RUNS = {"morph": "weaksim.morphisms", "transform": "weaksim.transforms",
+        "subadditive": "weaksim.transforms"}
+
+
+class TestImports:
+    """Each command imports only the modules it runs."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, files):
+        morphism = str(tmp_path / "m.json")
+        X, Y = load_space(files["x"]), load_space(files["y"])
+        save_morphism(morphism, weaksim.find_weak_similarity(X, Y))
+        return {**files, "m": morphism}
+
+    def loaded(self, tmp_path, argv):
+        src = os.path.dirname(os.path.dirname(weaksim.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, *argv],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert out["code"] == 0
+        return set(out["modules"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--in", "{eq}", "--metric", "--ultrametric"],
+            ["dset", "--in", "{x}"],
+            ["morph", "find", "--x", "{x}", "--y", "{y}"],
+            ["morph", "enum", "--x", "{x}", "--y", "{y}"],
+            ["morph", "classify", "--x", "{x}", "--y", "{y}"],
+            ["morph", "verify", "--x", "{x}", "--y", "{y}", "--in", "{m}"],
+            ["morph", "factorize", "--x", "{x}", "--y", "{y}", "--in", "{m}", "{m}"],
+            ["transform", "apply", "--in", "{x}", "--f", "{double}"],
+            ["transform", "snowflake", "--in", "{x}", "--p", "1"],
+            ["subadditive", "check", "--f", "{double}"],
+            ["subadditive", "hull-eval", "--f", "{double}", "--at", "5/2"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]).replace(" --in", ""),
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, inputs, argv):
+        loaded = self.loaded(tmp_path, [arg.format(**inputs) for arg in argv])
+        assert loaded & HEAVY <= {RUNS.get(argv[0])}
+
+    def test_version_loads_no_space_code(self, tmp_path):
+        loaded = self.loaded(tmp_path, ["--version"])
+        assert "weaksim.cli" in loaded
+        assert loaded & (HEAVY | {"weaksim.spaces", "weaksim.formats"}) == set()

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -119,6 +120,15 @@ class TestFindAndEnumerate:
         E = new_space(["a", "b", "c", "d"], [[0 if i == j else 1 for j in range(4)] for i in range(4)])
         found = enumerate_weak_similarities(E, E, limit=5)
         assert len(found) == 5
+
+    @pytest.mark.parametrize("limit", [sys.maxsize, sys.maxsize + 1, 10**100])
+    def test_a_limit_no_enumeration_reaches_is_unbounded(self, limit):
+        E = new_space(["a", "b", "c", "d"], [[0 if i == j else 1 for j in range(4)] for i in range(4)])
+        found = enumerate_weak_similarities(E, E, limit=limit)
+        assert [ws.mapping for ws in found] == [
+            ws.mapping for ws in enumerate_weak_similarities(E, E, limit=None)
+        ]
+        assert len(found) == 24
 
     def test_grid_pair_has_exactly_two_morphisms(self):
         A = segment_grid(5, 1)
