@@ -7,11 +7,13 @@ bijection onto each other, the scaling table is forced as soon as the two
 distance sets have equal size; the search is therefore an edge-colored
 complete-graph isomorphism over the rank matrices.  Colour refinement from a
 queue of splitter cells settles the points alone in their cells, and
-canonical-order backtracking places the rest on bitmasks of candidates.
+canonical-order backtracking on bitmasks of candidates places the rest,
+up to the first leaf.  Every other weak similarity is that one composed
+with an isometry of X, so enumeration builds Aut(X) as a stabilizer chain
+by Sims's backtrack on the same engine and walks that coset.
 
-Enumeration order is deterministic: source labels are processed in sorted
-order and candidate images are tried in sorted target-label order, so results
-arrive in lexicographic order of the mapping.
+Order is deterministic: results arrive in lexicographic order of the
+mapping, source labels sorted and images compared by target label.
 """
 
 from __future__ import annotations
@@ -294,72 +296,137 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
     return colorsX, colorsY
 
 
-def _search_mappings(X: Space, Y: Space) -> Iterator[tuple[tuple[str, str], ...]]:
-    """Yield all rank-preserving bijections in canonical order, each as
-    label pairs sorted by source label.
+class _Search:
+    """Canonical-order backtracking from X to Y on candidate bitmasks.
 
     Refinement settles the lone pairs; the free points, those of larger
     cells, are placed in source label order.  Bit q of a mask is the q-th
     free target in label order.  A point's candidates are its cell's bits
     ANDed, per placed point, with the free targets at the same rank from
     its image: every bit left fits all placed points, and no used image
-    survives, as rank 0 is only on the diagonal.  ``stack[k]`` holds the
-    k-th free point's untried bits, taken lowest first, so the search
-    depth is bounded by memory, not by the recursion limit.
+    survives, as rank 0 is only on the diagonal.  A whole map is a list
+    from each point's place in X's label order to its image's in Y's.
     """
-    if X.n != Y.n or len(X._view.values) != len(Y._view.values):
-        return
-    rkX, rkY = X._view.ranks, Y._view.ranks
-    refined = _refine_colors(rkX, rkY)
-    if refined is None:
-        return
-    colorsX, colorsY = refined
-    size = Counter(colorsX)  # a cell has as many Y points as X points
-    src = _label_order(X)
-    free = [a for a, i in enumerate(src) if size[colorsX[i]] > 1]  # positions in src
-    targets = [j for j in _label_order(Y) if size[colorsY[j]] > 1]
-    lone = {colorsY[j]: Y.labels[j] for j in range(Y.n) if size[colorsY[j]] == 1}
-    labels, images = [X.labels[i] for i in src], [lone.get(colorsX[i]) for i in src]
-    if not free:
-        yield tuple(zip(labels, images))
-        return
-    bit = [1 << q for q in range(len(targets))]
-    cell_bits: dict[int, int] = {}
-    at_rank: list[dict] = [{} for _ in targets]  # [q][r]: free targets at rank r from the q-th
-    for q, j in enumerate(targets):
-        cell_bits[colorsY[j]] = cell_bits.get(colorsY[j], 0) | bit[q]
-        row, mine = rkY[j], at_rank[q]
-        for p in range(q + 1, len(targets)):  # ranks are symmetric: fill both maps
-            r, theirs = row[targets[p]], at_rank[p]
-            mine[r] = mine.get(r, 0) | bit[p]
-            theirs[r] = theirs.get(r, 0) | bit[q]
-    points = [src[a] for a in free]
-    pick = operator.itemgetter(*points)  # a free cell has two points or more
-    rows = [pick(rkX[i]) for i in points]
-    cells = [cell_bits[colorsX[i]] for i in points]
 
-    image: list[int] = []  # image[m] is the bit of the m-th free point's target
-    stack = [cells[0]]
-    while stack:
-        bits = stack[-1]
-        if not bits:  # level exhausted: back one level and release its image
-            stack.pop()
-            del image[-1:]
+    def __init__(self, X: Space, Y: Space, colorsX: list[int], colorsY: list[int]):
+        rkX, rkY = X._view.ranks, Y._view.ranks
+        size = Counter(colorsX)  # a cell has as many Y points as X points
+        src, dst = _label_order(X), _label_order(Y)
+        self.free = [a for a, i in enumerate(src) if size[colorsX[i]] > 1]
+        self.target_at = [p for p, j in enumerate(dst) if size[colorsY[j]] > 1]
+        targets = [dst[p] for p in self.target_at]
+        lone = {colorsY[j]: p for p, j in enumerate(dst) if size[colorsY[j]] == 1}
+        self.settled = [lone.get(colorsX[i]) for i in src]
+        bit = [1 << q for q in range(len(targets))]
+        cell_bits: dict[int, int] = {}
+        at_rank: list[dict] = [{} for _ in targets]  # [q][r]: free targets at rank r from the q-th
+        for q, j in enumerate(targets):
+            cell_bits[colorsY[j]] = cell_bits.get(colorsY[j], 0) | bit[q]
+            row, mine = rkY[j], at_rank[q]
+            for p in range(q + 1, len(targets)):  # ranks are symmetric: fill both maps
+                r, theirs = row[targets[p]], at_rank[p]
+                mine[r] = mine.get(r, 0) | bit[p]
+                theirs[r] = theirs.get(r, 0) | bit[q]
+        self.at_rank = at_rank
+        points = [src[a] for a in self.free]
+        pick = operator.itemgetter(*points) if points else None  # a free cell has two points or more
+        self.rows = [pick(rkX[i]) for i in points]
+        self.cells = [cell_bits[colorsX[i]] for i in points]
+
+    def first_leaf(self, image: list[int]) -> Optional[list[int]]:
+        """The whole map of the first leaf below a consistent prefix of
+        images (bits of the first free points), or None.  The untried bits
+        of each level sit on a stack, so the depth is bounded by memory,
+        not by the recursion limit."""
+        cells, rows, at_rank = self.cells, self.rows, self.at_rank
+        stack: list[int] = []
+        while len(image) < len(cells):
+            k = len(image)
+            bits = cells[k]
+            for r, q in zip(rows[k], image):
+                bits &= at_rank[q].get(r, 0)
+            while not bits:  # dead end: back to the last level with bits left
+                if not stack:
+                    return None
+                bits = stack.pop()
+                image.pop()
+            low = bits & -bits
+            stack.append(bits ^ low)
+            image.append(low.bit_length() - 1)
+        leaf = self.settled[:]
+        for a, q in zip(self.free, image):
+            leaf[a] = self.target_at[q]
+        return leaf
+
+
+def _stabilizer_chain(X: Space) -> list[dict]:
+    """Aut(X) by Sims's backtrack: the Schreier trees (c: (g, p) for the
+    edge c = g[p], root: None) of the basic orbits of more than one point.
+
+    The base is X's free points in label order; refinement is
+    isomorphism-invariant, so automorphisms fix the lone ones.  Levels run
+    deepest first.  At level i, each image of b_i that fits the identity
+    on b_1..b_{i-1} and is outside the orbit so far is extended to its
+    first leaf, a new generator: a strong generating set by construction.
+    """
+    ranks = X._view.ranks
+    search = _Search(X, X, *_refine_colors(ranks, ranks))
+    free, cells, rows = search.free, search.cells, search.rows
+    gens: list[list[int]] = []
+    chain = []
+    for i in reversed(range(len(free))):
+        tree: dict = {free[i]: None}
+        for c in range(i + 1, len(free)):  # c fits if it sees b_1..b_{i-1} as b_i does
+            if cells[c] != cells[i] or free[c] in tree or rows[c][:i] != rows[i][:i]:
+                continue
+            g = search.first_leaf([*range(i), c])
+            if g is None:
+                continue
+            gens.append(g)
+            fresh = []  # the old points need only g: the old generators kept them closed
+            for p in list(tree):
+                if g[p] not in tree:
+                    tree[g[p]] = (g, p)
+                    fresh.append(g[p])
+            for p in fresh:  # grows while it is read
+                for s in gens:
+                    if s[p] not in tree:
+                        tree[s[p]] = (s, p)
+                        fresh.append(s[p])
+        if len(tree) > 1:
+            chain.append(tree)
+    return chain[::-1]
+
+
+def _coset(phi: list[int], chain: list[dict]) -> Iterator[list[int]]:
+    """phi ∘ g for every g in the group of the chain, in lexicographic order
+    of the images.  At base point b, a map h that agrees on the earlier
+    base points goes on as h ∘ u_c for each c in b's basic orbit, taken in
+    order of h(c); u_c = g ∘ u_p along the edge c = g[p] maps b to c, and
+    is composed on first use and kept."""
+    known = [{next(iter(tree)): list(range(len(phi)))} for tree in chain]
+    maps, todo = [phi], []
+    while maps:
+        h = maps[-1]
+        if len(maps) > len(chain):
+            yield maps.pop()
             continue
-        low = bits & -bits
-        stack[-1] = bits ^ low
-        image.append(low.bit_length() - 1)
-        k = len(image)
-        if k == len(free):
-            for a, q in zip(free, image):
-                images[a] = Y.labels[targets[q]]
-            yield tuple(zip(labels, images))
-            image.pop()
+        if len(todo) < len(maps):
+            todo.append(iter(sorted(chain[len(todo)], key=h.__getitem__)))
+        c = next(todo[-1], None)
+        if c is None:
+            todo.pop()
+            maps.pop()
             continue
-        bits = cells[k]
-        for r, q in zip(rows[k], image):
-            bits &= at_rank[q].get(r, 0)
-        stack.append(bits)
+        tree, us = chain[len(todo) - 1], known[len(todo) - 1]
+        path = []
+        while c not in us:
+            path.append(c)
+            c = tree[c][1]
+        for c in reversed(path):
+            g, p = tree[c]
+            us[c] = list(map(g.__getitem__, us[p]))
+        maps.append(list(map(h.__getitem__, us[c])))
 
 
 def build_realization(
@@ -389,19 +456,25 @@ def enumerate_weak_similarities(
     """All weak similarities X -> Y in canonical order, truncated at limit.
 
     Pass ``limit=None`` for an unbounded enumeration (factorially many on
-    highly symmetric spaces).
+    highly symmetric spaces).  A limit of 1 takes the search's first leaf
+    alone; any other walks that leaf times Aut(X).
     """
-    out: list[WeakSimilarity] = []
     if limit is not None and limit <= 0:
-        return out
+        return []
+    if X.n != Y.n or len(X._view.values) != len(Y._view.values):
+        return []
+    refined = _refine_colors(X._view.ranks, Y._view.ranks)
+    phi = None if refined is None else _Search(X, Y, *refined).first_leaf([])
+    if phi is None:
+        return []
     if limit is not None and limit > sys.maxsize:  # past islice's range; never reached
         limit = None
-    for pairs in islice(_search_mappings(X, Y), limit):
-        if not out:  # one table, so one classification, for every result
-            scaling = increasing_bijection(distance_set(Y), distance_set(X))
-            cls = classify_scaling(scaling, X.backend, Y.backend)
-        out.append(WeakSimilarity(X, Y, pairs, scaling, cls))
-    return out
+    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(X)), limit)
+    scaling = increasing_bijection(distance_set(Y), distance_set(X))
+    cls = classify_scaling(scaling, X.backend, Y.backend)  # one table, one classification
+    xs = [X.labels[i] for i in _label_order(X)]
+    ys = [Y.labels[j] for j in _label_order(Y)]
+    return [WeakSimilarity(X, Y, tuple(zip(xs, map(ys.__getitem__, h))), scaling, cls) for h in maps]
 
 
 def invert(ws: WeakSimilarity) -> WeakSimilarity:

@@ -1,10 +1,11 @@
-"""The iterative search and the table algebra.
+"""The iterative search, the coset enumeration and the table algebra.
 
-Enumeration must list exactly the brute-force oracle's mappings in the
-oracle's (canonical) order, at any depth the recursion limit would not
-allow, and the bitmask search must yield the pairwise-check search's
-sequence at sizes brute force cannot reach; realizations found between
-float spaces must compose, invert and factorize by exact table lookup.
+Enumeration (one first leaf times Aut(X), walked in lexicographic order)
+must list exactly the brute-force oracle's mappings in the oracle's
+(canonical) order, at any depth the recursion limit would not allow, and
+the pairwise-check search's sequence at sizes brute force cannot reach;
+realizations found between float spaces must compose, invert and
+factorize by exact table lookup.
 """
 
 import inspect
@@ -13,6 +14,7 @@ import random
 import string
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -41,7 +43,7 @@ from weaksim import (
     snowflake,
     verify,
 )
-from weaksim.morphisms import _refine_colors, _search_mappings
+from weaksim.morphisms import _refine_colors
 
 
 def shuffled_labels(n, rng):
@@ -159,7 +161,7 @@ def test_enumeration_classifies_like_each_result_on_its_own(x, y, distances, cou
     found = enumerate_weak_similarities(X, Y, limit=None)
     assert len(found) == count
     scaling = increasing_bijection(distance_set(Y), distance_set(X))
-    assert found == [build_realization(X, Y, m, scaling) for m in _search_mappings(X, Y)]
+    assert found == [build_realization(X, Y, ws.mapping, scaling) for ws in found]
 
 
 def graph_space(n, edges, seed=None):
@@ -206,7 +208,7 @@ def assert_refinement_agrees(X, Y):
     expected, got = signature_refinement(rkX, rkY), _refine_colors(rkX, rkY)
     if expected is None:
         assert got is None
-        assert list(_search_mappings(X, Y)) == []
+        assert enumerate_weak_similarities(X, Y, limit=None) == []
     else:
         assert got is not None and cells(got) == cells(expected)
 
@@ -288,16 +290,21 @@ def test_lone_pairs_that_disagree_are_refused_before_the_search():
     assert time.perf_counter() - start < 1.0
 
 
+def mappings(X, Y, limit=None):
+    return [ws.mapping for ws in enumerate_weak_similarities(X, Y, limit)]
+
+
 def assert_same_sequence_as_pairwise(X, Y, limit=500):
-    """The first ``limit`` mappings of both searches, order included."""
-    got = itertools.islice(_search_mappings(X, Y), limit)
-    assert list(got) == list(itertools.islice(pairwise_search(X, Y), limit))
+    """The first ``limit`` mappings of the enumeration and of the oracle,
+    order included."""
+    assert mappings(X, Y, limit) == list(itertools.islice(pairwise_search(X, Y), limit))
 
 
 class TestPairwiseSearchParity:
-    """Settled lone pairs and candidate bitmasks change no result and no
-    position in the order, on ultrametrics of up to 48 points and on
-    two-distance spaces, where brute force stops at 7 points."""
+    """Settled lone pairs, candidate bitmasks and the walk of the coset
+    change no result and no position in the order, on ultrametrics of up
+    to 48 points and on two-distance spaces, where brute force stops at 7
+    points."""
 
     @given(st.integers(0, 10_000), st.integers(1, 48), st.sampled_from(["relabeled", "scaled", "distorted"]))
     @settings(max_examples=30, deadline=None)
@@ -322,6 +329,24 @@ class TestPairwiseSearchParity:
         assert_same_sequence_as_pairwise(*FIXED_PAIRS[name](), limit=None)
 
 
+@given(pair=refinement_pairs())
+@settings(max_examples=100, deadline=None)
+def test_every_limit_returns_a_prefix_of_the_full_sequence(pair):
+    """A limit of 1 takes the first leaf alone and builds no group; any
+    other truncates the walk of the coset, around its end too."""
+    full = mappings(*pair)
+    for limit in {1, 2, max(len(full) - 1, 0), len(full), len(full) + 1}:
+        assert mappings(*pair, limit) == full[:limit]
+
+
+def test_ultrametric_automorphism_count():
+    """`random_ultrametric(48, 0)` has 2^16 automorphisms."""
+    X = random_ultrametric(48, 0)
+    maps = mappings(X, X)
+    assert len(maps) == 2**16
+    assert maps[0] == tuple((a, a) for a in sorted(X.labels))  # the identity leads
+
+
 def elapsed(call):
     start = time.perf_counter()
     result = call()
@@ -332,16 +357,23 @@ class TestSearchTimeBounds:
     """Two-distance spaces of strongly regular graphs, which colour
     refinement cannot split: the search alone does the work."""
 
-    def test_paley_53_enumeration(self):
-        X = two_distance_space(paley_graph(53), 1, 2)
-        Y = two_distance_space(paley_graph(53), 1, 2, seed=11)
-        found, seconds = elapsed(lambda: enumerate_weak_similarities(X, Y, limit=None))
-        assert seconds < 8.0
+    @staticmethod
+    def assert_paley_enumeration_within(q, seconds):
+        X = two_distance_space(paley_graph(q), 1, 2)
+        Y = two_distance_space(paley_graph(q), 1, 2, seed=11)
+        found, took = elapsed(lambda: enumerate_weak_similarities(X, Y, limit=None))
+        assert took < seconds
         maps = [ws.mapping for ws in found]
-        assert len(maps) == 53 * 52 // 2  # |Aut(Paley(53))|
+        assert len(maps) == q * (q - 1) // 2  # |Aut(Paley(q))|
         assert maps == sorted(set(maps))  # distinct, in lexicographic order
         assert verify(X, Y, maps[0], found[0].scaling).ok
         assert verify(X, Y, maps[-1], found[-1].scaling).ok
+
+    def test_paley_53_enumeration(self):
+        self.assert_paley_enumeration_within(53, 8.0)
+
+    def test_paley_101_enumeration(self):
+        self.assert_paley_enumeration_within(101, 5.0)
 
     @pytest.mark.parametrize(
         "name, seconds", [("latin_z6_latin_s3", 0.5), ("rook_shrik", 0.1), ("shrik_rook", 0.1)]
@@ -363,6 +395,33 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
         sys.setrecursionlimit(old)
     assert ws is not None
     assert verify(X, Y, ws.as_map(), ws.scaling).ok
+
+
+def test_coset_walk_depth_and_memory_are_bounded():
+    """150 twin pairs (1 apart within a pair, 2 apart otherwise): 300 points
+    and 150 base points with a basic orbit of more than one point.  The
+    chain, its Schreier trees and the walk are loops, and the transversal
+    elements are composed only as the walk needs them: keeping one
+    permutation per orbit point would take some 22,000 lists of 300."""
+    n = 300
+    X = new_space(
+        [f"t{k:03d}" for k in range(n)],
+        [[0 if i == j else 1 if i // 2 == j // 2 else 2 for j in range(n)] for i in range(n)],
+    )
+    Y, _ = derive_partner(X, "relabeled", seed=5)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    tracemalloc.start()
+    try:
+        found, seconds = elapsed(lambda: enumerate_weak_similarities(X, Y, limit=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(old)
+    assert seconds < 60  # about 15 s under tracemalloc, 1.5 s without it
+    assert peak < 30 * 2**20
+    assert len(found) == 3
+    assert all(verify(X, Y, ws.as_map(), ws.scaling).ok for ws in found)
 
 
 class TestFloatAlgebra:
