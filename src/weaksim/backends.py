@@ -2,8 +2,11 @@
 
 A space stores its distances either as exact rationals (``fractions.Fraction``,
 exact comparisons) or as floats with a relative comparison tolerance.  The two
-are never mixed inside one space; every order-sensitive operation goes through
-the backend so that rank extraction stays deterministic.
+are never mixed inside one space.  The backend parses, formats and compares
+values: its equality groups a space's distances into ranks when the space is
+loaded, and its ``lt`` decides positivity in the pair-by-pair semimetric scan
+and the triangle inequality on floats.  Every other order question reads the
+space's integer ranks.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ class RationalBackend:
     def lt(self, a, b) -> bool:
         return a < b
 
-    def le(self, a, b) -> bool:
-        return a <= b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -111,9 +111,6 @@ class FloatBackend:
 
     def lt(self, a, b) -> bool:
         return float(a) < float(b) and not self.eq(a, b)
-
-    def le(self, a, b) -> bool:
-        return float(a) <= float(b) or self.eq(a, b)
 
     def is_zero(self, a) -> bool:
         return self.eq(a, 0.0)

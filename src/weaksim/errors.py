@@ -29,7 +29,7 @@ class DuplicateLabel(WeaksimError):
 
 
 class AmbiguousRanking(WeaksimError):
-    """Float values cannot be grouped into ranks order-independently."""
+    """new_space cannot group float values into ranks order-independently."""
 
 
 class CardinalityMismatch(WeaksimError):

@@ -132,11 +132,13 @@ def space_from_csv(text: str, epsilon: Optional[float] = None) -> Space:
 
 
 def load_space(path: str, epsilon: Optional[float] = None) -> Space:
+    """A CSV space (float-backed at ``epsilon`` if given) or a JSON one."""
+    is_csv = path.endswith(".csv")
+    if epsilon is not None and not is_csv:
+        raise FormatError("epsilon applies to CSV files only; a JSON space file names its backend")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".csv"):
-        return space_from_csv(text, epsilon=epsilon)
-    return space_from_json(text)
+    return space_from_csv(text, epsilon=epsilon) if is_csv else space_from_json(text)
 
 
 def save_space(path: str, space: Space) -> None:

@@ -359,18 +359,19 @@ class _Search:
         return leaf
 
 
-def _stabilizer_chain(X: Space) -> list[dict]:
+def _stabilizer_chain(X: Space, colorsX: list[int]) -> list[dict]:
     """Aut(X) by Sims's backtrack: the Schreier trees (c: (g, p) for the
     edge c = g[p], root: None) of the basic orbits of more than one point.
 
+    ``colorsX`` is X's side of a refinement against any Y that succeeded:
+    X's keys alone made every split, as refining X against itself would.
     The base is X's free points in label order; refinement is
     isomorphism-invariant, so automorphisms fix the lone ones.  Levels run
     deepest first.  At level i, each image of b_i that fits the identity
     on b_1..b_{i-1} and is outside the orbit so far is extended to its
     first leaf, a new generator: a strong generating set by construction.
     """
-    ranks = X._view.ranks
-    search = _Search(X, X, *_refine_colors(ranks, ranks))
+    search = _Search(X, X, colorsX, colorsX)
     free, cells, rows = search.free, search.cells, search.rows
     gens: list[list[int]] = []
     chain = []
@@ -469,7 +470,7 @@ def enumerate_weak_similarities(
         return []
     if limit is not None and limit > sys.maxsize:  # past islice's range; never reached
         limit = None
-    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(X)), limit)
+    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(X, refined[0])), limit)
     scaling = increasing_bijection(distance_set(Y), distance_set(X))
     cls = classify_scaling(scaling, X.backend, Y.backend)  # one table, one classification
     xs = [X.labels[i] for i in _label_order(X)]

@@ -9,7 +9,8 @@ Every question that depends only on the order of the distances reads one
 rank view per space, cached on the space: the sorted distinct distances, the
 integer rank matrix and, for rational spaces, the matrix scaled to integers
 by the common denominator.  ``new_space`` builds the view in the same pass
-that parses the entries, and validates the matrix on its ranks.
+that parses the entries, validates the matrix on its ranks, and refuses a
+float matrix that cannot be ranked unambiguously: every space has a view.
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ class Space:
 
     @cached_property
     def _view(self) -> "RankView":
-        view = _load(self.matrix, self.backend)[1]
-        if isinstance(view, AmbiguousRanking):
-            raise view
-        return view
+        return _load(self.labels, self.matrix, self.backend)[1]
 
     def index(self, label: str) -> int:
         try:
@@ -126,7 +124,8 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     other, and a float one whose ranking is ambiguous, is scanned pair by
     pair.  Raises NotSemimetric with the first offending pair (label order)
     when the diagonal is nonzero, the matrix is asymmetric, or an
-    off-diagonal entry is not positive; DuplicateLabel on repeated names.
+    off-diagonal entry is not positive; then AmbiguousRanking when a float
+    semimetric cannot be ranked; DuplicateLabel on repeated names.
     """
     labels = tuple(str(x) for x in labels)
     if len(labels) == 0:
@@ -140,12 +139,9 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError("matrix dimensions do not match labels")
-    m, view = _load(matrix, backend)
-    if isinstance(view, AmbiguousRanking) or not _ranks_semimetric(view, backend):
-        _scan_semimetric(labels, m, backend)
+    m, view = _load(labels, matrix, backend)
     space = Space(labels=labels, matrix=m, backend=backend)
-    if isinstance(view, RankView):
-        space.__dict__["_view"] = view  # fills the cached property
+    space.__dict__["_view"] = view  # fills the cached property
     return space
 
 
@@ -161,8 +157,8 @@ class _Memo(dict):
         return value
 
 
-def _load(matrix, backend: Backend):
-    """Coerce and rank the entries in one pass: (value matrix, rank view).
+def _load(labels: tuple[str, ...], matrix, backend: Backend):
+    """Coerce, rank and check the entries in one pass: (matrix, rank view).
 
     A text is keyed by itself and parsed when first seen; any other entry
     by its coerced value: a (numerator, denominator) pair, which hashes far
@@ -170,8 +166,8 @@ def _load(matrix, backend: Backend):
     turns their ids into ranks.  The matrix keeps each entry's own value.
     Float values group where adjacent values compare equal.  A group whose
     extremes do not, or a rank 0 that is not exactly the values equal to 0,
-    would make the ranks depend on merge order: the view is then the
-    AmbiguousRanking to raise.
+    would make the ranks depend on merge order: AmbiguousRanking, raised
+    after the scan for a NotSemimetric witness.
     """
     coerce = backend.coerce
     exact = isinstance(backend, RationalBackend)
@@ -201,18 +197,26 @@ def _load(matrix, backend: Backend):
             groups[-1].append(i)
         else:
             groups.append([i])
-    if not exact:
-        for lo, hi in ((reps[g[0]], reps[g[-1]]) for g in groups):
-            if not backend.eq(lo, hi):
-                return m, AmbiguousRanking(
-                    f"values {lo!r}..{hi!r} chain within tolerance "
-                    "but their extremes do not compare equal"
-                )
-        if len(groups[0]) != len(list(takewhile(backend.is_zero, map(reps.__getitem__, order)))):
-            return m, AmbiguousRanking("rank 0 must hold exactly the values that compare equal to 0")
+    ambiguity = None if exact else _ambiguity(groups, reps, order, backend)
     rank = {i: r for r, group in enumerate(groups) for i in group}
     ranks = tuple(tuple(map(rank.__getitem__, row)) for row in id_rows)
-    return m, RankView(values=tuple(reps[g[0]] for g in groups), ranks=ranks)
+    view = RankView(values=tuple(reps[g[0]] for g in groups), ranks=ranks)
+    if ambiguity or not _ranks_semimetric(view, backend):
+        _scan_semimetric(labels, m, backend)
+    if ambiguity:
+        raise AmbiguousRanking(ambiguity)
+    return m, view
+
+
+def _ambiguity(groups, reps, order, backend: Backend) -> Optional[str]:
+    """Why a float grouping of ``reps`` (ids sorted by value in ``order``,
+    runs of them in ``groups``) would depend on merge order, or None."""
+    for lo, hi in ((reps[g[0]], reps[g[-1]]) for g in groups):
+        if not backend.eq(lo, hi):
+            return f"values {lo!r}..{hi!r} chain within tolerance but their extremes do not compare equal"
+    if len(groups[0]) != len(list(takewhile(backend.is_zero, map(reps.__getitem__, order)))):
+        return "rank 0 must hold exactly the values that compare equal to 0"
+    return None
 
 
 def _ranks_semimetric(view: RankView, backend: Backend) -> bool:
@@ -319,17 +323,12 @@ def is_ultrametric(space: Space) -> Verdict:
     """Check d(x,y) <= max(d(x,z), d(z,y)) over all ordered triples.
 
     Decided on ranks in O(n^2) by a spanning tree; only a failing space is
-    scanned for its witness.  Float spaces whose ranks are ambiguous are
-    scanned on their values.
+    scanned, on its ranks, for its witness.
     """
-    try:
-        m, less = space._view.ranks, lt
-    except AmbiguousRanking:
-        m, less = space.matrix, space.backend.lt
-    else:
-        if _spanning_tree_agrees(m):
-            return TRUE_VERDICT
-    return _first_triple(space, m, max, lambda xz, zy, xy: less(max(xz, zy), xy))
+    ranks = space._view.ranks
+    if _spanning_tree_agrees(ranks):
+        return TRUE_VERDICT
+    return _first_triple(space, ranks, max, lambda xz, zy, xy: max(xz, zy) < xy)
 
 
 def distance_set(space: Space) -> DistanceSet:
@@ -370,28 +369,21 @@ def coincreasing(d: Space, rho: Space) -> Verdict:
 
     Checks d(x,y) <= d(z,w) <=> rho(x,y) <= rho(z,w): the pair orders agree
     exactly when the rank matrices are equal.  A failing verdict carries the
-    first (x, y, z, w) in label order, found by a scan of all quadruples;
-    float spaces whose ranks are ambiguous are scanned on their values.
+    first (x, y, z, w) in label order, found by a scan of all quadruples of
+    ranks.
     """
     if d.labels != rho.labels:
         raise LabelMismatch("spaces must share one label list")
-    try:
-        md, mr = d._view.ranks, rho._view.ranks
-    except AmbiguousRanking:
-        md, mr, le_d, le_r = d.matrix, rho.matrix, d.backend.le, rho.backend.le
-    else:
-        if md == mr:
-            return TRUE_VERDICT
-        le_d = le_r = le
+    md, mr = d._view.ranks, rho._view.ranks
+    if md == mr:
+        return TRUE_VERDICT
     order = _label_order(d)
     rows_d, rows_r = _in_order(md, order), _in_order(mr, order)
     for a in range(d.n):
         for b in range(d.n):
             x, y = rows_d[a][b], rows_r[a][b]
             for c, (row_d, row_r) in enumerate(zip(rows_d, rows_r)):
-                if any(map(ne, map(le_d, repeat(x), row_d), map(le_r, repeat(y), row_r))):
-                    e = next(
-                        e for e in range(d.n) if le_d(x, row_d[e]) != le_r(y, row_r[e])
-                    )
+                if any(map(ne, map(le, repeat(x), row_d), map(le, repeat(y), row_r))):
+                    e = next(e for e in range(d.n) if (x <= row_d[e]) != (y <= row_r[e]))
                     return _labelled(d, order, a, b, c, e)
     return TRUE_VERDICT

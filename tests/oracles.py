@@ -198,10 +198,13 @@ def brute_force_coincreasing(d: Space, rho: Space) -> tuple:
     """(ok, witness): the first (x, y, z, w) in label order on which
     d(x,y) <= d(z,w) and rho(x,y) <= rho(z,w) disagree."""
     md, mr = d.matrix, rho.matrix
-    le_d, le_r = d.backend.le, rho.backend.le
+
+    def le(backend, a, b):
+        return backend.lt(a, b) or backend.eq(a, b)
+
     order = _label_order(d)
     for i1, i2, i3, i4 in itertools.product(order, repeat=4):
-        if le_d(md[i1][i2], md[i3][i4]) != le_r(mr[i1][i2], mr[i3][i4]):
+        if le(d.backend, md[i1][i2], md[i3][i4]) != le(rho.backend, mr[i1][i2], mr[i3][i4]):
             return False, tuple(d.labels[i] for i in (i1, i2, i3, i4))
     return True, None
 

@@ -381,6 +381,17 @@ SPACE_FILES = {
 }
 
 
+def chain_space_file(o_to_a="1"):
+    """Distances from o that chain within the tolerance 1e-9 (1, 1 + 0.9e-9,
+    1 + 1.8e-9) while the chain's ends do not compare equal, so grouping
+    them into ranks is ambiguous; ``o_to_a`` sets d(o, a) alone, d(a, o)
+    stays 1."""
+    mid, end = "1.0000000009", "1.0000000018"
+    matrix = [["0", "5", "5", "1"], ["5", "0", "5", mid], ["5", "5", "0", end], [o_to_a, mid, end, "0"]]
+    backend = {"float": {"epsilon": "1e-9"}}
+    return json.dumps({"labels": ["a", "b", "c", "o"], "backend": backend, "matrix": matrix})
+
+
 def run_child(tmp_path, *argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = os.path.dirname(os.path.dirname(weaksim.__file__))
@@ -412,6 +423,27 @@ class TestInputErrors:
     def test_csv_epsilon_must_be_finite_and_positive(self, tmp_path, epsilon):
         (tmp_path / "s.csv").write_text("a,b\n0,1\n1,0\n")
         assert_input_error(run_child(tmp_path, "check", "--in", "s.csv", f"--epsilon={epsilon}"))
+
+    @pytest.mark.parametrize("epsilon", ["nan", "1e-9"])
+    def test_json_space_file_takes_no_epsilon(self, tmp_path, epsilon):
+        save_space(str(tmp_path / "s.json"), new_space(["a", "b"], [[0, 1], [1, 0]]))
+        assert run_child(tmp_path, "check", "--in", "s.json").returncode == 0
+        assert_input_error(run_child(tmp_path, "check", "--in", "s.json", f"--epsilon={epsilon}"))
+
+    def test_an_ambiguous_float_ranking_is_an_input_error(self, tmp_path):
+        (tmp_path / "s.json").write_text(chain_space_file())
+        proc = run_child(tmp_path, "check", "--in", "s.json")
+        assert_input_error(proc)
+        assert "chain within tolerance" in proc.stderr
+
+    def test_a_matrix_that_is_not_a_semimetric_fails_before_its_ranking(self, tmp_path):
+        """The ambiguous chain in an asymmetric matrix is a false verdict
+        with the first offending pair, not an input error."""
+        (tmp_path / "s.json").write_text(chain_space_file(o_to_a="1.0000000018"))
+        proc = run_child(tmp_path, "check", "--in", "s.json")
+        assert proc.returncode == 1 and proc.stderr == ""
+        checks = json.loads(proc.stdout)["report"]["result"]["checks"]
+        assert checks == [{"name": "semimetric", "ok": False, "witness": ["a", "o"], "reason": "asymmetric"}]
 
     def test_csv_float_entries_must_be_finite(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b\n0,inf\ninf,0\n")

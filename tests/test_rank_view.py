@@ -20,10 +20,12 @@ from oracles import (
     brute_force_verify,
     random_bijection,
     random_semimetric,
+    scan_new_space,
 )
 from weaksim import (
     AmbiguousRanking,
     FloatBackend,
+    NotSemimetric,
     Space,
     coincreasing,
     derive_partner,
@@ -86,9 +88,9 @@ def jittered_float(space, seed, scale=0.4 * EPS):
     return new_space(space.labels, m, FloatBackend(epsilon=EPS))
 
 
-def ambiguous_space(n, seed):
-    """A float space whose distances chain within tolerance from 1 to
-    1 + 1.8e-9, so that grouping them into ranks is ambiguous."""
+def ambiguous_matrix(n, seed):
+    """Labels and a float semimetric whose distances chain within tolerance
+    from 1 to 1 + 1.8e-9, so that grouping them into ranks is ambiguous."""
     rng = random.Random(seed)
     chain = [1.0, 1.0 + 0.9 * EPS, 1.0 + 1.8 * EPS]
     m = [[0.0] * n for _ in range(n)]
@@ -98,7 +100,7 @@ def ambiguous_space(n, seed):
     m[0][1] = m[1][0] = chain[0]
     m[0][2] = m[2][0] = chain[2]
     m[1][2] = m[2][1] = chain[1]
-    return new_space([f"z{k}" for k in range(n)], m, FloatBackend(epsilon=EPS))
+    return [f"z{k}" for k in range(n)], m
 
 
 seeds = st.integers(0, 10_000)
@@ -144,10 +146,20 @@ class TestAxiomParity:
     @given(seeds, st.integers(3, 6))
     @settings(max_examples=30, deadline=None)
     def test_ambiguous_rankings_fall_back_to_values(self, seed, n):
-        s = ambiguous_space(n, seed)
+        """No space is built without ranks; a matrix that is not a
+        semimetric still fails first, at the witness of the value scan."""
+        labels, m = ambiguous_matrix(n, seed)
+        backend = FloatBackend(epsilon=EPS)
+        scan_new_space(labels, m, backend)  # a semimetric all the same
         with pytest.raises(AmbiguousRanking):
-            rank_matrix(s)
-        assert_axioms_match(s)
+            new_space(labels, m, backend)
+        i, j = random.Random(seed).sample(range(n), 2)
+        m[i][j] = 4.0  # the chain and 2.0, 3.5 never give 4.0: asymmetric
+        with pytest.raises(NotSemimetric) as expected:
+            scan_new_space(labels, m, backend)
+        with pytest.raises(NotSemimetric) as got:
+            new_space(labels, m, backend)
+        assert (got.value.witness, got.value.reason) == (expected.value.witness, expected.value.reason)
 
     @pytest.mark.parametrize(
         "diagonal, d_ab",
@@ -160,14 +172,10 @@ class TestAxiomParity:
     )
     def test_rank_zero_is_only_the_diagonal(self, diagonal, d_ab):
         a, b, c = diagonal
-        s = new_space(
-            ["a", "b", "c"],
-            [[a, d_ab, 1.0], [d_ab, b, 1.0], [1.0, 1.0, c]],
-            FloatBackend(epsilon=EPS),
-        )
+        m = [[a, d_ab, 1.0], [d_ab, b, 1.0], [1.0, 1.0, c]]
+        scan_new_space(["a", "b", "c"], m, FloatBackend(epsilon=EPS))  # a semimetric
         with pytest.raises(AmbiguousRanking):
-            rank_matrix(s)
-        assert_axioms_match(s)
+            new_space(["a", "b", "c"], m, FloatBackend(epsilon=EPS))
 
 
 class TestCoincreasingParity:
@@ -199,11 +207,22 @@ class TestCoincreasingParity:
     @given(seeds, st.integers(3, 5))
     @settings(max_examples=20, deadline=None)
     def test_ambiguous_rankings_fall_back_to_values(self, seed, n):
-        s = ambiguous_space(n, seed)
-        other = ambiguous_space(n, seed + 1)
+        """An ambiguous chain never reaches coincreasing: new_space refuses
+        it.  Cut to 1, 1 + 0.9e-9, whose ends compare equal, it loads, and
+        the verdict on ranks agrees with the oracle's scan of the values."""
+        backend = FloatBackend(epsilon=EPS)
+        labels, m = ambiguous_matrix(n, seed)
+        with pytest.raises(AmbiguousRanking):
+            new_space(labels, m, backend)
+
+        def cut(matrix):
+            return [[min(v, 1.0 + 0.9 * EPS) if v < 2.0 else v for v in row] for row in matrix]
+
+        s = new_space(labels, cut(m), backend)
+        other = new_space(labels, cut(ambiguous_matrix(n, seed + 1)[1]), backend)
         assert_coincreasing_matches(s, s)
         assert_coincreasing_matches(s, other)
-        plain = new_space(s.labels, [[round(v) for v in row] for row in s.matrix])
+        plain = new_space(labels, [[round(v) for v in row] for row in m])
         assert_coincreasing_matches(plain, s)
 
 

@@ -203,7 +203,9 @@ def cells(colors):
 
 def assert_refinement_agrees(X, Y):
     """The splitter queue returns None exactly where re-signing every row
-    each round does, and otherwise ends with the same cells."""
+    each round does, and otherwise ends with the same cells, and gives X
+    the colours that refining X against itself gives: the stabilizer chain
+    reuses them."""
     rkX, rkY = X._view.ranks, Y._view.ranks
     expected, got = signature_refinement(rkX, rkY), _refine_colors(rkX, rkY)
     if expected is None:
@@ -211,6 +213,7 @@ def assert_refinement_agrees(X, Y):
         assert enumerate_weak_similarities(X, Y, limit=None) == []
     else:
         assert got is not None and cells(got) == cells(expected)
+        assert got[0] == _refine_colors(rkX, rkX)[0]
 
 
 def lone_pairs_space(k, ab, ac, ad):

@@ -128,9 +128,8 @@ class TestDistanceSetAndRanks:
         m[1][2] = m[2][1] = 5.0
         m[1][3] = m[3][1] = 5.0
         m[2][3] = m[3][2] = 5.0
-        s = new_space(labels, m, FloatBackend(epsilon=eps))
         with pytest.raises(AmbiguousRanking):
-            distance_set(s)
+            new_space(labels, m, FloatBackend(epsilon=eps))
 
     @given(st.integers(0, 10_000), st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
