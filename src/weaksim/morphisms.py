@@ -8,9 +8,13 @@ distance sets have equal size; the search is therefore an edge-colored
 complete-graph isomorphism over the rank matrices.  Colour refinement from a
 queue of splitter cells settles the points alone in their cells, and
 canonical-order backtracking on bitmasks of candidates places the rest,
-up to the first leaf.  Every other weak similarity is that one composed
-with an isometry of X, so enumeration builds Aut(X) as a stabilizer chain
-by Sims's backtrack on the same engine and walks that coset.
+up to the first leaf.  Where that walk's dead ends cost as much as
+refining again, a search node individualizes its point against each
+candidate and refines from that partition, which prunes whole subtrees
+on spaces that refinement alone cannot split.  Every other weak
+similarity is that one composed with an isometry of X, so enumeration
+builds Aut(X) as a stabilizer chain by Sims's backtrack on the same
+engine and walks that coset.
 
 Order is deterministic: results arrive in lexicographic order of the
 mapping, source labels sorted and images compared by target label.
@@ -220,41 +224,60 @@ def _splitter_key(rows, splitter):
     return lambda point: tuple(sorted(pick(rows[point])))
 
 
-def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
+def _refine_colors(rkX, rkY, cells=None, queue=(0,)) -> Optional[tuple[list[int], list[int], int]]:
     """Synchronized colour refinement on two edge-coloured complete graphs.
 
-    One partition of X ⊔ Y is refined from a queue of splitter cells
-    (Berkholz, Bonsma & Grohe, ESA 2013).  Popping a splitter S splits
-    every cell with more than one member on a side by how many points of S
-    each member sees at each rank (its own graph's part of S).  A split
-    whose X and Y pieces differ in size returns None: no rank-preserving
-    bijection exists.  The largest piece keeps its cell's place, in the
-    queue or out of it, and every other piece joins the queue: a cell out
-    of the queue has split the others already, alone or inside a larger
-    splitter, so keys against its largest piece follow from those against
-    the whole and the other pieces.
+    A balanced partition of X ⊔ Y, a list of cells of (X members, Y
+    members), is refined in place from a queue of splitter cells
+    (Berkholz, Bonsma & Grohe, ESA 2013).  By default it is the one cell
+    of every point, queued; the search passes a stable partition in which
+    it has individualized points, with their new cells queued.  Popping a
+    splitter S splits every cell with more than one member on a side by
+    how many points of S each member sees at each rank (its own graph's
+    part of S).  A split whose X and Y pieces differ in size returns None:
+    no rank-preserving bijection exists.  The largest piece keeps its
+    cell's place, in the queue or out of it, and every other piece joins
+    the queue: a cell out of the queue has split the others already, alone
+    or inside a larger splitter, so keys against its largest piece follow
+    from those against the whole and the other pieces.
     A cell of one X point x and one Y point y (a lone pair) is not split
-    again: any split of it is unbalanced.  It is checked once at the end
+    again: any split of it is unbalanced.  It is checked at the end
     instead.  Refinement stops when the queue is empty, or early when every
     cell is a lone pair.  Every other cell then sees a single rank from
     all its points to x and to y, so x and y agree on it; what is left is
     that the ranks among the lone pairs match, pair by pair, or None is
-    returned.  The search takes the lone pairs as settled, and this last
-    comparison is what makes that exact.  So None comes back exactly when
-    the stable partition has a cell with more X points than Y points.
-    Returns the cell of each point, as colours of X and of Y.
+    returned.  Lone pairs out of the starting queue have been compared
+    with each other before, so each lone pair made here or queued at the
+    start is compared with every lone pair.  The search takes the lone
+    pairs as settled, and this comparison is what makes that exact.  So
+    None comes back exactly when the stable partition has a cell with more
+    X points than Y points, or lone pairs that disagree.
+    Returns the cell of each point, as colours of X and of Y, and the
+    work done: ranks read by the keys and the lone-pair comparison, and
+    one per point coloured.
     """
     n = len(rkX)
-    cells = [(list(range(n)), list(range(n)))]  # (X members, Y members)
-    queue = deque([0])
-    live = [0] if n > 1 else []  # the cells with more than one point a side
-    loneX, loneY = [], []  # the lone pairs' points, paired by index
+    if cells is None:
+        cells = [(list(range(n)), list(range(n)))]
+    queue = deque(queue)
+    live = [c for c, (xs, _) in enumerate(cells) if len(xs) > 1]  # more than one point a side
+    oldX, oldY, loneX, loneY = [], [], [], []  # lone pairs' points, paired by index
+    for c, (xs, ys) in enumerate(cells):
+        if len(xs) == 1:
+            if c in queue:
+                loneX += xs
+                loneY += ys
+            else:
+                oldX += xs
+                oldY += ys
+    reads = 2 * n  # colouring every point at the end
     while queue and live:
         SX, SY = cells[queue.popleft()]
         keyX, keyY = _splitter_key(rkX, SX), _splitter_key(rkY, SY)
         still = []
         for c in live:
             xs, ys = cells[c]
+            reads += len(SX) * 2 * len(xs)
             kx, ky = list(map(keyX, xs)), list(map(keyY, ys))
             first = kx[0]
             if kx.count(first) == len(kx) and ky.count(first) == len(ky):
@@ -284,7 +307,9 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
                     loneY += part[1]
         live = still
     if loneX:
-        pickX, pickY = operator.itemgetter(*loneX), operator.itemgetter(*loneY)
+        pickX = operator.itemgetter(*oldX, *loneX)
+        pickY = operator.itemgetter(*oldY, *loneY)
+        reads += 2 * len(loneX) * (len(oldX) + len(loneX))
         if [pickX(rkX[x]) for x in loneX] != [pickY(rkY[y]) for y in loneY]:
             return None
     colorsX, colorsY = [0] * n, [0] * n
@@ -293,11 +318,12 @@ def _refine_colors(rkX, rkY) -> Optional[tuple[list[int], list[int]]]:
             colorsX[x] = c
         for y in ys:
             colorsY[y] = c
-    return colorsX, colorsY
+    return colorsX, colorsY, reads
 
 
 class _Search:
-    """Canonical-order backtracking from X to Y on candidate bitmasks.
+    """Canonical-order backtracking from X to Y on candidate bitmasks,
+    refining at the nodes where that pays.
 
     Refinement settles the lone pairs; the free points, those of larger
     cells, are placed in source label order.  Bit q of a mask is the q-th
@@ -306,15 +332,36 @@ class _Search:
     its image: every bit left fits all placed points, and no used image
     survives, as rank 0 is only on the diagonal.  A whole map is a list
     from each point's place in X's label order to its image's in Y's.
+
+    Where that plain walk pays for dead ends, it refines at its nodes
+    instead (McKay & Piperno 2014): a node individualizes its free point
+    against each candidate in turn, every placed point with its image
+    too, and refines that partition again.  A candidate whose refinement
+    is unbalanced is pruned; otherwise the refined cells are the candidate
+    masks below it, ANDed only with the points placed after it, and a
+    discrete partition is the leaf itself, its lone pairs compared.
+    Costs are counted in ranks read: a node reads its mask and one rank
+    per placed point, and a refinement reports its own work (keys, the
+    lone-pair comparison, one per point coloured); the last one sets the
+    price.  A level of the walk refines its nodes' candidates from the
+    time the subtrees it has walked plainly have cost more than one
+    refinement each on average; a pruned candidate costs one.  So a level
+    that refines in vain costs at most about twice its plain walk, and a
+    walk without dead ends never refines.  Nor does one whose first
+    level's subtrees each cost less than a refinement: every subtree lies
+    in one of them, and the walk keeps no record until one of them has
+    cost that much.
     """
 
-    def __init__(self, X: Space, Y: Space, colorsX: list[int], colorsY: list[int]):
-        rkX, rkY = X._view.ranks, Y._view.ranks
+    def __init__(self, X: Space, Y: Space, colorsX: list[int], colorsY: list[int], reads: int):
+        self.rkX, self.rkY = X._view.ranks, Y._view.ranks
+        self.colors = (colorsX, colorsY)
+        self.reads = reads  # what the last refinement read: the price of one
         size = Counter(colorsX)  # a cell has as many Y points as X points
         src, dst = _label_order(X), _label_order(Y)
         self.free = [a for a, i in enumerate(src) if size[colorsX[i]] > 1]
         self.target_at = [p for p, j in enumerate(dst) if size[colorsY[j]] > 1]
-        targets = [dst[p] for p in self.target_at]
+        self.targets = targets = [dst[p] for p in self.target_at]
         lone = {colorsY[j]: p for p, j in enumerate(dst) if size[colorsY[j]] == 1}
         self.settled = [lone.get(colorsX[i]) for i in src]
         bit = [1 << q for q in range(len(targets))]
@@ -322,44 +369,177 @@ class _Search:
         at_rank: list[dict] = [{} for _ in targets]  # [q][r]: free targets at rank r from the q-th
         for q, j in enumerate(targets):
             cell_bits[colorsY[j]] = cell_bits.get(colorsY[j], 0) | bit[q]
-            row, mine = rkY[j], at_rank[q]
+            row, mine = self.rkY[j], at_rank[q]
             for p in range(q + 1, len(targets)):  # ranks are symmetric: fill both maps
                 r, theirs = row[targets[p]], at_rank[p]
                 mine[r] = mine.get(r, 0) | bit[p]
                 theirs[r] = theirs.get(r, 0) | bit[q]
         self.at_rank = at_rank
-        points = [src[a] for a in self.free]
+        self.points = points = [src[a] for a in self.free]
         pick = operator.itemgetter(*points) if points else None  # a free cell has two points or more
-        self.rows = [pick(rkX[i]) for i in points]
+        self.rows = [pick(self.rkX[i]) for i in points]
         self.cells = [cell_bits[colorsX[i]] for i in points]
+        self._root = None
 
-    def first_leaf(self, image: list[int]) -> Optional[list[int]]:
+    def _partition(self):
+        """The root partition as cells and colours, built on first use."""
+        if self._root is None:
+            colorsX, colorsY = self.colors
+            cells = [([], []) for _ in range(max(colorsX, default=-1) + 1)]
+            for x, c in enumerate(colorsX):
+                cells[c][0].append(x)
+            for y, c in enumerate(colorsY):
+                cells[c][1].append(y)
+            self._root = (cells, colorsX, colorsY)
+        return self._root
+
+    def _refine_at(self, part, pairs):
+        """Individualize each (free point, bit) pair in the partition and
+        refine it: None if unbalanced, else the candidate masks of the
+        free points and the refined partition."""
+        cells, colorsX, _ = part
+        cells = cells[:]  # refinement replaces cells, never changes one
+        queue = []
+        for k, q in pairs:
+            x, y = self.points[k], self.targets[q]
+            c = colorsX[x]  # a cell split here keeps its place for its other points
+            xs, ys = cells[c]
+            if len(xs) == 1:
+                continue  # already alone with its image
+            cells[c] = ([p for p in xs if p != x], [p for p in ys if p != y])
+            queue.append(len(cells))
+            cells.append(([x], [y]))
+            if len(xs) == 2:
+                queue.append(c)  # the rest is a lone pair too
+        refined = _refine_colors(self.rkX, self.rkY, cells, queue)
+        if refined is None:
+            return None
+        colorsX, colorsY, reads = refined
+        self.reads = reads or self.reads  # nothing left to split prices nothing
+        cell_bits: dict[int, int] = {}
+        for q, y in enumerate(self.targets):
+            cell_bits[colorsY[y]] = cell_bits.get(colorsY[y], 0) | 1 << q
+        return [cell_bits[colorsX[x]] for x in self.points], (cells, colorsX, colorsY)
+
+    def first_leaf(self, image: list[int], masks=None, base: int = 0) -> Optional[list[int]]:
         """The whole map of the first leaf below a consistent prefix of
-        images (bits of the first free points), or None.  The untried bits
-        of each level sit on a stack, so the depth is bounded by memory,
-        not by the recursion limit."""
-        cells, rows, at_rank = self.cells, self.rows, self.at_rank
-        stack: list[int] = []
-        while len(image) < len(cells):
+        images (bits of the first free points), or None.  ``masks`` are
+        the candidates of every free point given the first ``base``
+        placed points; by default the cells' bits, given none.  The
+        untried bits of each level sit on a stack, so the depth is bounded
+        by memory, not by the recursion limit."""
+        rows, at_rank = self.rows, self.at_rank
+        f = len(rows)
+        if masks is None:
+            masks = self.cells
+        stack: list[int] = []  # the untried bits of each level
+        reads = 0  # a node reads its mask and one rank per placed point
+        cost = self.reads  # of one refinement
+        # Every subtree lies in one of the first level's: while each of
+        # those costs less than a refinement, walk plainly and keep no record.
+        limit = cost
+        while len(image) < f:
             k = len(image)
-            bits = cells[k]
-            for r, q in zip(rows[k], image):
-                bits &= at_rank[q].get(r, 0)
+            bits = masks[k]
+            for r, p in zip(rows[k][base:], image[base:]) if base else zip(rows[k], image):
+                bits &= at_rank[p].get(r, 0)
+            reads += k - base + 1
+            if reads > limit:
+                break
             while not bits:  # dead end: back to the last level with bits left
                 if not stack:
                     return None
                 bits = stack.pop()
                 image.pop()
+                if not stack:  # a new subtree of the first level
+                    limit = reads + cost
             low = bits & -bits
             stack.append(bits ^ low)
             image.append(low.bit_length() - 1)
+        else:
+            return self._leaf(image)
+        # each frame: masks, the placed points they account for, and the
+        # partition they come from with the points individualized in it
+        frames = [(masks, base, None, 0)]
+        # per level, the ranks read below the candidates it took plainly
+        # since here (less those read when the current one was taken), and
+        # how many
+        below = [-reads] * k + [0] * (f - k)
+        taken = [0] * f
+        while True:
+            while not bits:  # dead end: back to the last level with bits left
+                if not stack:
+                    return None
+                bits = stack.pop()
+                image.pop()
+                k -= 1
+                if base > k:
+                    frames.pop()
+                    masks, base = frames[-1][:2]
+                below[k] += reads
+                taken[k] += 1
+            low = bits & -bits
+            bits ^= low
+            q = low.bit_length() - 1
+            spent = below[k]
+            if spent <= taken[k] * cost:
+                below[k] = spent - reads
+            else:  # individualize the k-th point with q and refine
+                part, done = frames[-1][2:]
+                found = self._refine_at(part or self._partition(), [*zip(range(done, k), image[done:]), (k, q)])
+                reads += cost
+                if found is None:
+                    continue
+                cost = self.reads
+                masks, part = found
+                if len(part[0]) == len(self.rkX):  # discrete: every cell a lone pair
+                    return self._leaf(image + [q] + [m.bit_length() - 1 for m in masks[k + 1 :]])
+                base = k + 1
+                frames.append((masks, base, part, base))
+            stack.append(bits)
+            image.append(q)
+            k += 1
+            if k == f:
+                return self._leaf(image)
+            bits = masks[k]
+            for r, p in zip(rows[k][base:], image[base:]) if base else zip(rows[k], image):
+                bits &= at_rank[p].get(r, 0)
+            reads += k - base + 1
+
+    def fixing_leaf(self, i: int, c: int, masks: list[int]) -> Optional[list[int]]:
+        """A leaf from X to itself that fixes the first i free points and
+        sends the i-th to c, found without backtracking, or None if that
+        runs into a dead end; ``masks`` are the candidates given that
+        identity on the first i.  Each later point stays where it is if
+        that fits every point moved so far (the fixed points agree with it
+        by themselves), and takes its first candidate otherwise."""
+        rows, at_rank = self.rows, self.at_rank
+        image = [*range(i), c]
+        moved, used = [i], {c}  # the placed points that moved, and their images
+        for k in range(i + 1, len(rows)):
+            row = rows[k]
+            if k not in used and all(at_rank[image[j]].get(row[j], 0) >> k & 1 for j in moved):
+                image.append(k)
+                continue
+            bits = masks[k]
+            for r, p in zip(row[i:], image[i:]):
+                bits &= at_rank[p].get(r, 0)
+            if not bits:
+                return None
+            q = (bits & -bits).bit_length() - 1
+            image.append(q)
+            moved.append(k)
+            used.add(q)
+        return self._leaf(image)
+
+    def _leaf(self, image: list[int]) -> list[int]:
         leaf = self.settled[:]
         for a, q in zip(self.free, image):
             leaf[a] = self.target_at[q]
         return leaf
 
 
-def _stabilizer_chain(X: Space, colorsX: list[int]) -> list[dict]:
+def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
     """Aut(X) by Sims's backtrack: the Schreier trees (c: (g, p) for the
     edge c = g[p], root: None) of the basic orbits of more than one point.
 
@@ -370,19 +550,42 @@ def _stabilizer_chain(X: Space, colorsX: list[int]) -> list[dict]:
     deepest first.  At level i, each image of b_i that fits the identity
     on b_1..b_{i-1} and is outside the orbit so far is extended to its
     first leaf, a new generator: a strong generating set by construction.
+    The candidate masks given that identity prefix are built once, in one
+    pass down to the deepest level that has a candidate, and every leaf at
+    a level starts from them.  A generator need not be a first leaf, so
+    :meth:`_Search.fixing_leaf` tries first for one that fixes what it
+    can, until that runs into a dead end.
     """
-    search = _Search(X, X, colorsX, colorsX)
-    free, cells, rows = search.free, search.cells, search.rows
+    search = _Search(X, X, colorsX, colorsX, reads)
+    free, cells, rows, at_rank = search.free, search.cells, search.rows, search.at_rank
+    f = len(free)
+    top = next(  # the deepest b_i that another point sees as b_i sees b_1..b_{i-1}
+        (i for i in reversed(range(f)) for c in range(i + 1, f) if cells[c] == cells[i] and rows[c][:i] == rows[i][:i]),
+        -1,
+    )
+    fixed = [cells]  # fixed[i][k]: the candidates of point k once b_1..b_i are fixed
+    for i in range(top):
+        prev = fixed[-1]
+        fixed.append(prev[: i + 1] + [m & at_rank[i].get(row[i], 0) for m, row in zip(prev[i + 1 :], rows[i + 1 :])])
     gens: list[list[int]] = []
     chain = []
-    for i in reversed(range(len(free))):
+    greedy = True  # until fixing_leaf first runs into a dead end
+    for i in reversed(range(top + 1)):
+        masks = fixed.pop()
         tree: dict = {free[i]: None}
-        for c in range(i + 1, len(free)):  # c fits if it sees b_1..b_{i-1} as b_i does
-            if cells[c] != cells[i] or free[c] in tree or rows[c][:i] != rows[i][:i]:
+        bits = masks[i] ^ 1 << i  # the points that see b_1..b_{i-1} as b_i does
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            c = low.bit_length() - 1
+            if free[c] in tree:
                 continue
-            g = search.first_leaf([*range(i), c])
+            g = search.fixing_leaf(i, c, masks) if greedy else None
             if g is None:
-                continue
+                greedy = False
+                g = search.first_leaf([*range(i), c], masks, i)
+                if g is None:
+                    continue
             gens.append(g)
             fresh = []  # the old points need only g: the old generators kept them closed
             for p in list(tree):
@@ -470,7 +673,7 @@ def enumerate_weak_similarities(
         return []
     if limit is not None and limit > sys.maxsize:  # past islice's range; never reached
         limit = None
-    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(X, refined[0])), limit)
+    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(X, refined[0], refined[2])), limit)
     scaling = increasing_bijection(distance_set(Y), distance_set(X))
     cls = classify_scaling(scaling, X.backend, Y.backend)  # one table, one classification
     xs = [X.labels[i] for i in _label_order(X)]

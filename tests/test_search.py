@@ -10,6 +10,7 @@ factorize by exact table lookup.
 
 import inspect
 import itertools
+import operator
 import random
 import string
 import sys
@@ -43,7 +44,7 @@ from weaksim import (
     snowflake,
     verify,
 )
-from weaksim.morphisms import _refine_colors
+from weaksim.morphisms import _refine_colors, _Search
 
 
 def shuffled_labels(n, rng):
@@ -110,13 +111,29 @@ def shrikhande_graph():
     return [[((u[0] - v[0]) % 4, (u[1] - v[1]) % 4) in steps for v in cells] for u in cells]
 
 
-def latin_square_graph(symbol):
-    """Cells of a 6 x 6 Latin square, adjacent on a shared row, column or symbol."""
-    cells = [(r, c) for r in range(6) for c in range(6)]
+def latin_square_graph(order, symbol):
+    """Cells of an order x order Latin square, adjacent on a shared row,
+    column or symbol."""
+    cells = [(r, c) for r in range(order) for c in range(order)]
     return [
         [u != v and (u[0] == v[0] or u[1] == v[1] or symbol(*u) == symbol(*v)) for v in cells]
         for u in cells
     ]
+
+
+def cyclic(order):
+    return lambda r, c: (r + c) % order
+
+
+def dihedral(m):
+    """The multiplication table of D_m, order 2m: element k < m is the
+    rotation r^k, element m + k the reflection r^k s."""
+
+    def product(a, b):
+        (fa, ka), (fb, kb) = divmod(a, m), divmod(b, m)
+        return (fa ^ fb) * m + (ka + (-kb if fa else kb)) % m
+
+    return product
 
 
 S3 = sorted(itertools.permutations(range(3)))
@@ -126,8 +143,14 @@ STRONGLY_REGULAR = {
     "p29": lambda: paley_graph(29),
     "rook": rook_graph,
     "shrik": shrikhande_graph,
-    "latin_z6": lambda: latin_square_graph(lambda r, c: (r + c) % 6),
-    "latin_s3": lambda: latin_square_graph(lambda r, c: tuple(S3[r][k] for k in S3[c])),
+    "latin_z6": lambda: latin_square_graph(6, cyclic(6)),
+    "latin_s3": lambda: latin_square_graph(6, lambda r, c: tuple(S3[r][k] for k in S3[c])),
+    "latin_z4": lambda: latin_square_graph(4, cyclic(4)),
+    "latin_z2_2": lambda: latin_square_graph(4, operator.xor),
+    "latin_z8": lambda: latin_square_graph(8, cyclic(8)),
+    "latin_z2_3": lambda: latin_square_graph(8, operator.xor),
+    "latin_z10": lambda: latin_square_graph(10, cyclic(10)),
+    "latin_d5": lambda: latin_square_graph(10, dihedral(5)),
 }
 
 
@@ -212,7 +235,7 @@ def assert_refinement_agrees(X, Y):
         assert got is None
         assert enumerate_weak_similarities(X, Y, limit=None) == []
     else:
-        assert got is not None and cells(got) == cells(expected)
+        assert got is not None and cells(got[:2]) == cells(expected)
         assert got[0] == _refine_colors(rkX, rkX)[0]
 
 
@@ -256,7 +279,15 @@ FIXED_PAIRS = {
             two_distance_space(STRONGLY_REGULAR[x](), 1, 2),
             two_distance_space(STRONGLY_REGULAR[y](), 1, 2, seed=7),
         )
-        for x, y in [("rook", "shrik"), ("shrik", "rook"), ("p13", "p13"), ("rook", "rook"), ("latin_z6", "latin_s3")]
+        for x, y in [
+            ("rook", "shrik"),
+            ("shrik", "rook"),
+            ("p13", "p13"),
+            ("rook", "rook"),
+            ("latin_z6", "latin_s3"),
+            ("latin_z4", "latin_z2_2"),
+            ("latin_z2_2", "latin_z4"),
+        ]
     },
 }
 
@@ -385,6 +416,164 @@ class TestSearchTimeBounds:
         X, Y = FIXED_PAIRS[name]()
         found, took = elapsed(lambda: find_weak_similarity(X, Y))
         assert found is None and took < seconds
+
+
+# The first leaf from each Latin-square graph to its copy relabelled by
+# seed 7, as the plain bitmask walk finds it without refining at nodes:
+# the number of each image's label, in source label order.
+FIRST_LEAVES = {
+    "latin_z8": """
+        0 4 45 48 19 22 51 55 18 21 47 9 11 27 52 49 20 10 29 13 7 50 14 31 58 8 6 33 41
+        16 39 46 40 15 34 32 36 17 24 54 30 44 23 61 26 60 12 63 62 38 2 56 25 57 28 1
+        35 43 5 3 37 42 53 59
+    """,
+    "latin_z2_3": """
+        0 2 14 36 16 49 61 43 51 62 7 34 33 27 44 59 45 25 20 24 46 21 60 3 19 28 29 40
+        8 9 63 42 48 57 10 54 58 47 12 37 4 56 31 17 39 18 26 5 22 1 13 15 6 11 30 53 55
+        38 50 32 41 52 23 35
+    """,
+    "latin_z10": """
+        0 14 75 95 72 34 19 43 22 32 42 1 28 89 35 77 79 12 61 60 62 16 68 82 2 59 58 51
+        83 17 56 87 65 94 70 5 76 46 78 50 67 74 98 11 37 8 13 88 84 91 23 39 26 9 54 96
+        90 30 48 20 63 40 85 21 7 3 64 36 38 25 81 6 92 47 29 80 18 57 52 15 44 10 45 86
+        71 49 73 93 33 55 27 53 24 69 66 41 4 31 97 99
+    """,
+    "latin_d5": """
+        0 9 14 32 26 18 35 30 41 33 44 86 10 55 45 4 71 57 77 48 42 21 40 60 85 64 72 31
+        49 52 27 11 53 99 24 73 2 36 34 84 81 47 6 17 92 19 66 93 80 38 56 94 87 50 65
+        13 70 51 3 22 23 95 39 20 75 58 7 43 8 78 62 82 16 15 68 90 37 46 59 61 67 69 74
+        91 98 76 29 12 96 97 63 89 1 25 28 79 54 88 5 83
+    """,
+}
+
+
+class TestLatinSquareGraphs:
+    """Latin-square graphs of groups of one order are strongly regular
+    with the same parameters, so colour refinement splits none of their
+    points; the search tells them apart by refining at its nodes."""
+
+    @pytest.mark.parametrize(
+        "x, y, seconds", [("latin_z8", "latin_z2_3", 2.0), ("latin_z10", "latin_d5", 10.0)]
+    )
+    def test_no_morphism_found_within(self, x, y, seconds):
+        X = two_distance_space(STRONGLY_REGULAR[x](), 1, 2)
+        Y = two_distance_space(STRONGLY_REGULAR[y](), 1, 2, seed=7)
+        colorsX, colorsY, _ = _refine_colors(X._view.ranks, Y._view.ranks)
+        assert len(set(colorsX)) == len(set(colorsY)) == 1
+        found, took = elapsed(lambda: find_weak_similarity(X, Y))
+        assert found is None and took < seconds
+
+    @pytest.mark.parametrize("name", sorted(FIRST_LEAVES))
+    def test_first_leaf_against_a_relabelled_copy(self, name):
+        adj = STRONGLY_REGULAR[name]()
+        X, Y = two_distance_space(adj, 1, 2), two_distance_space(adj, 1, 2, seed=7)
+        ws = find_weak_similarity(X, Y)
+        assert verify(X, Y, ws.as_map(), ws.scaling).ok
+        assert [int(b[1:]) for _, b in ws.mapping] == list(map(int, FIRST_LEAVES[name].split()))
+
+
+def cfi_graph(base_edges, twisted):
+    """The graph of Cai, Fürer and Immerman (1992) over a base graph.
+
+    Each base vertex v has a middle point per subset S of its edges of even
+    size, and two end points (e, 0) and (e, 1) per edge e at v; the middle
+    point is adjacent to (e, 1) when e is in S and to (e, 0) otherwise.
+    The end points that two base vertices have for their edge are joined
+    bit to bit, crosswise on the first edge when ``twisted``.  The twisted
+    and untwisted graphs are not isomorphic; over a cubic base both are
+    cubic, so colour refinement splits neither.
+    """
+    vertices = sorted({v for edge in base_edges for v in edge})
+    at = {v: [e for e in base_edges if v in e] for v in vertices}
+    points = [("end", v, e, bit) for v in vertices for e in at[v] for bit in (0, 1)]
+    points += [
+        ("middle", v, S) for v in vertices for size in range(0, len(at[v]) + 1, 2) for S in itertools.combinations(at[v], size)
+    ]
+    index = {p: i for i, p in enumerate(points)}
+    adj = [[False] * len(points) for _ in points]
+
+    def join(p, q):
+        adj[index[p]][index[q]] = adj[index[q]][index[p]] = True
+
+    for kind, v, *rest in points:
+        if kind == "middle":
+            for e in at[v]:
+                join(("middle", v, *rest), ("end", v, e, int(e in rest[0])))
+    for k, (u, v) in enumerate(base_edges):
+        for bit in (0, 1):
+            join(("end", u, (u, v), bit), ("end", v, (u, v), bit ^ (twisted and k == 0)))
+    return adj
+
+
+K4 = list(itertools.combinations(range(4), 2))
+
+
+def test_cfi_pair_over_k4():
+    """40 points of degree 3 in both graphs: refinement splits nothing, and
+    individualizing points at search nodes proves them apart.  The
+    untwisted graph's isometries are those of K4 times 2^3 (its cycle
+    space), all 192 of them verified."""
+    X = two_distance_space(cfi_graph(K4, False), 1, 2)
+    Y = two_distance_space(cfi_graph(K4, True), 1, 2, seed=7)
+    colorsX, colorsY, _ = _refine_colors(X._view.ranks, Y._view.ranks)
+    assert len(set(colorsX)) == len(set(colorsY)) == 1
+    found, took = elapsed(lambda: find_weak_similarity(X, Y))
+    assert found is None and took < 2.0  # about 0.14 s on a 2-vCPU guest
+    assert enumerate_weak_similarities(Y, X) == []
+    same = two_distance_space(cfi_graph(K4, False), 1, 2, seed=7)
+    found = enumerate_weak_similarities(X, same, limit=None)
+    assert len(found) == 24 * 2**3
+    assert all(verify(X, same, ws.as_map(), ws.scaling).ok for ws in found)
+
+
+def cycle_union(lengths, seed=None):
+    """Disjoint cycles of the given lengths as a graph space."""
+    edges, start = set(), 0
+    for length in lengths:
+        edges |= {(start + i, start + (i + 1) % length) for i in range(length)}
+        start += length
+    return graph_space(start, edges, seed)
+
+
+CYCLE_PAIRS = [((6,), (3, 3)), ((8,), (3, 5)), ((4, 4), (8,)), ((9,), (3, 3, 3))]
+
+
+@pytest.mark.parametrize(
+    "x, y", list(dict.fromkeys(pair for a, b in CYCLE_PAIRS for pair in ((a, b), (b, a), (a, a), (b, b)))), ids=str
+)
+def test_cycle_unions_match_the_oracles(x, y):
+    """Every point of a union of cycles sees one neighbour pair, so
+    refinement splits nothing.  ``find`` and the whole enumeration, to a
+    relabelled copy or to another union of as many points, equal the
+    pairwise search in sequence and order, and brute force up to 8
+    points."""
+    X, Y = cycle_union(x), cycle_union(y, seed=5)
+    expected = list(pairwise_search(X, Y))
+    assert mappings(X, Y) == expected
+    found = find_weak_similarity(X, Y)
+    assert (found.mapping if found else None) == (expected[0] if expected else None)
+    if X.n <= 8:
+        assert [dict(m) for m in expected] == brute_force_weak_similarities(X, Y)
+
+
+def test_refinement_at_nodes_only_where_dead_ends_cost_one(monkeypatch):
+    """A walk without dead ends (an ultrametric against its distorted,
+    relabelled partner) and the rook and Shrikhande walks, whose subtrees
+    each cost less than a refinement, never refine at a node; the Latin
+    squares of Z6 and S3 do, and are told apart."""
+    calls = []
+    refine_at = _Search._refine_at
+    monkeypatch.setattr(_Search, "_refine_at", lambda self, *args: calls.append(1) or refine_at(self, *args))
+    X = random_ultrametric(48, 3)
+    Y, _ = derive_partner(derive_partner(X, "distorted", seed=4)[0], "relabeled", seed=5)
+    assert find_weak_similarity(X, Y) is not None
+    for name in ("rook_shrik", "shrik_rook", "p13_p13", "rook_rook"):
+        X, Y = FIXED_PAIRS[name]()
+        find_weak_similarity(X, Y)
+    assert not calls
+    X, Y = FIXED_PAIRS["latin_z6_latin_s3"]()
+    assert find_weak_similarity(X, Y) is None
+    assert calls
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
