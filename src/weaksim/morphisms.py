@@ -261,6 +261,7 @@ def _refine_colors(rkX, rkY, cells=None, queue=(0,)) -> Optional[tuple[list[int]
         cells = [(list(range(n)), list(range(n)))]
     queue = deque(queue)
     live = [c for c, (xs, _) in enumerate(cells) if len(xs) > 1]  # more than one point a side
+    live_points = sum(len(cells[c][0]) for c in live)  # on each side
     oldX, oldY, loneX, loneY = [], [], [], []  # lone pairs' points, paired by index
     for c, (xs, ys) in enumerate(cells):
         if len(xs) == 1:
@@ -274,10 +275,10 @@ def _refine_colors(rkX, rkY, cells=None, queue=(0,)) -> Optional[tuple[list[int]
     while queue and live:
         SX, SY = cells[queue.popleft()]
         keyX, keyY = _splitter_key(rkX, SX), _splitter_key(rkY, SY)
+        reads += len(SX) * 2 * live_points
         still = []
         for c in live:
             xs, ys = cells[c]
-            reads += len(SX) * 2 * len(xs)
             kx, ky = list(map(keyX, xs)), list(map(keyY, ys))
             first = kx[0]
             if kx.count(first) == len(kx) and ky.count(first) == len(ky):
@@ -303,6 +304,7 @@ def _refine_colors(rkX, rkY, cells=None, queue=(0,)) -> Optional[tuple[list[int]
                 if len(part[0]) > 1:
                     still.append(at)
                 else:
+                    live_points -= 1
                     loneX += part[0]
                     loneY += part[1]
         live = still
@@ -348,9 +350,8 @@ class _Search:
     refinement each on average; a pruned candidate costs one.  So a level
     that refines in vain costs at most about twice its plain walk, and a
     walk without dead ends never refines.  Nor does one whose first
-    level's subtrees each cost less than a refinement: every subtree lies
-    in one of them, and the walk keeps no record until one of them has
-    cost that much.
+    level's subtrees each cost less than a refinement, as every subtree
+    lies in one of them.
     """
 
     def __init__(self, X: Space, Y: Space, colorsX: list[int], colorsY: list[int], reads: int):
@@ -414,8 +415,7 @@ class _Search:
         refined = _refine_colors(self.rkX, self.rkY, cells, queue)
         if refined is None:
             return None
-        colorsX, colorsY, reads = refined
-        self.reads = reads or self.reads  # nothing left to split prices nothing
+        colorsX, colorsY, self.reads = refined
         cell_bits: dict[int, int] = {}
         for q, y in enumerate(self.targets):
             cell_bits[colorsY[y]] = cell_bits.get(colorsY[y], 0) | 1 << q
@@ -429,67 +429,50 @@ class _Search:
         untried bits of each level sit on a stack, so the depth is bounded
         by memory, not by the recursion limit."""
         rows, at_rank = self.rows, self.at_rank
-        f = len(rows)
+        f, k = len(rows), len(image)
         if masks is None:
             masks = self.cells
         stack: list[int] = []  # the untried bits of each level
-        reads = 0  # a node reads its mask and one rank per placed point
-        cost = self.reads  # of one refinement
-        # Every subtree lies in one of the first level's: while each of
-        # those costs less than a refinement, walk plainly and keep no record.
-        limit = cost
-        while len(image) < f:
-            k = len(image)
-            bits = masks[k]
-            for r, p in zip(rows[k][base:], image[base:]) if base else zip(rows[k], image):
-                bits &= at_rank[p].get(r, 0)
-            reads += k - base + 1
-            if reads > limit:
-                break
-            while not bits:  # dead end: back to the last level with bits left
-                if not stack:
-                    return None
-                bits = stack.pop()
-                image.pop()
-                if not stack:  # a new subtree of the first level
-                    limit = reads + cost
-            low = bits & -bits
-            stack.append(bits ^ low)
-            image.append(low.bit_length() - 1)
-        else:
-            return self._leaf(image)
         # each frame: masks, the placed points they account for, and the
         # partition they come from with the points individualized in it
         frames = [(masks, base, None, 0)]
         # per level, the ranks read below the candidates it took plainly
-        # since here (less those read when the current one was taken), and
-        # how many
-        below = [-reads] * k + [0] * (f - k)
-        taken = [0] * f
-        while True:
-            while not bits:  # dead end: back to the last level with bits left
-                if not stack:
-                    return None
-                bits = stack.pop()
-                image.pop()
-                k -= 1
-                if base > k:
-                    frames.pop()
-                    masks, base = frames[-1][:2]
-                below[k] += reads
-                taken[k] += 1
-            low = bits & -bits
-            bits ^= low
-            q = low.bit_length() - 1
-            spent = below[k]
-            if spent <= taken[k] * cost:
-                below[k] = spent - reads
-            else:  # individualize the k-th point with q and refine
+        # (less those read when the current one was taken), and how many
+        below, taken = [0] * f, [0] * f
+        reads = 0  # a node reads its mask and one rank per placed point
+        cost = self.reads  # of one refinement
+        while k < f:
+            bits = masks[k]
+            for r, p in zip(rows[k][base:], image[base:]) if base else zip(rows[k], image):
+                bits &= at_rank[p].get(r, 0)
+            reads += k - base + 1
+            while True:  # take the next candidate that refinement does not prune
+                while not bits:  # dead end: back to the last level with bits left
+                    if not stack:
+                        return None
+                    bits = stack.pop()
+                    image.pop()
+                    k -= 1
+                    if base > k:
+                        frames.pop()
+                        masks, base = frames[-1][:2]
+                    below[k] += reads
+                    taken[k] += 1
+                low = bits & -bits
+                bits ^= low
+                q = low.bit_length() - 1
+                spent = below[k]
+                if spent <= taken[k] * cost:
+                    below[k] = spent - reads
+                    found = None
+                    break
+                # individualize the k-th point with q and refine
                 part, done = frames[-1][2:]
                 found = self._refine_at(part or self._partition(), [*zip(range(done, k), image[done:]), (k, q)])
                 reads += cost
-                if found is None:
-                    continue
+                if found is not None:
+                    break
+            if found is not None:
                 cost = self.reads
                 masks, part = found
                 if len(part[0]) == len(self.rkX):  # discrete: every cell a lone pair
@@ -499,37 +482,6 @@ class _Search:
             stack.append(bits)
             image.append(q)
             k += 1
-            if k == f:
-                return self._leaf(image)
-            bits = masks[k]
-            for r, p in zip(rows[k][base:], image[base:]) if base else zip(rows[k], image):
-                bits &= at_rank[p].get(r, 0)
-            reads += k - base + 1
-
-    def fixing_leaf(self, i: int, c: int, masks: list[int]) -> Optional[list[int]]:
-        """A leaf from X to itself that fixes the first i free points and
-        sends the i-th to c, found without backtracking, or None if that
-        runs into a dead end; ``masks`` are the candidates given that
-        identity on the first i.  Each later point stays where it is if
-        that fits every point moved so far (the fixed points agree with it
-        by themselves), and takes its first candidate otherwise."""
-        rows, at_rank = self.rows, self.at_rank
-        image = [*range(i), c]
-        moved, used = [i], {c}  # the placed points that moved, and their images
-        for k in range(i + 1, len(rows)):
-            row = rows[k]
-            if k not in used and all(at_rank[image[j]].get(row[j], 0) >> k & 1 for j in moved):
-                image.append(k)
-                continue
-            bits = masks[k]
-            for r, p in zip(row[i:], image[i:]):
-                bits &= at_rank[p].get(r, 0)
-            if not bits:
-                return None
-            q = (bits & -bits).bit_length() - 1
-            image.append(q)
-            moved.append(k)
-            used.add(q)
         return self._leaf(image)
 
     def _leaf(self, image: list[int]) -> list[int]:
@@ -552,9 +504,7 @@ def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
     first leaf, a new generator: a strong generating set by construction.
     The candidate masks given that identity prefix are built once, in one
     pass down to the deepest level that has a candidate, and every leaf at
-    a level starts from them.  A generator need not be a first leaf, so
-    :meth:`_Search.fixing_leaf` tries first for one that fixes what it
-    can, until that runs into a dead end.
+    a level starts from them.
     """
     search = _Search(X, X, colorsX, colorsX, reads)
     free, cells, rows, at_rank = search.free, search.cells, search.rows, search.at_rank
@@ -569,7 +519,6 @@ def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
         fixed.append(prev[: i + 1] + [m & at_rank[i].get(row[i], 0) for m, row in zip(prev[i + 1 :], rows[i + 1 :])])
     gens: list[list[int]] = []
     chain = []
-    greedy = True  # until fixing_leaf first runs into a dead end
     for i in reversed(range(top + 1)):
         masks = fixed.pop()
         tree: dict = {free[i]: None}
@@ -580,12 +529,9 @@ def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
             c = low.bit_length() - 1
             if free[c] in tree:
                 continue
-            g = search.fixing_leaf(i, c, masks) if greedy else None
+            g = search.first_leaf([*range(i), c], masks, i)
             if g is None:
-                greedy = False
-                g = search.first_leaf([*range(i), c], masks, i)
-                if g is None:
-                    continue
+                continue
             gens.append(g)
             fresh = []  # the old points need only g: the old generators kept them closed
             for p in list(tree):
