@@ -11,10 +11,12 @@ canonical-order backtracking on bitmasks of candidates places the rest,
 up to the first leaf.  Where that walk's dead ends cost as much as
 refining again, a search node individualizes its point against each
 candidate and refines from that partition, which prunes whole subtrees
-on spaces that refinement alone cannot split.  Every other weak
-similarity is that one composed with an isometry of X, so enumeration
-builds Aut(X) as a stabilizer chain by Sims's backtrack on the same
-engine and walks that coset.
+on spaces that refinement alone cannot split.  Once the first point's
+candidate has failed, a later candidate that an automorphism of Y, found
+on demand by the same engine from Y to Y, carries it to fails too, so it
+is skipped.  Every other weak similarity is that one composed with an
+isometry of X, so enumeration builds Aut(X) as a stabilizer chain by
+Sims's backtrack on the same engine and walks that coset.
 
 Order is deterministic: results arrive in lexicographic order of the
 mapping, source labels sorted and images compared by target label.
@@ -22,6 +24,7 @@ mapping, source labels sorted and images compared by target label.
 
 from __future__ import annotations
 
+import copy
 import operator
 import sys
 from collections import Counter, deque
@@ -352,21 +355,30 @@ class _Search:
     walk without dead ends never refines.  Nor does one whose first
     level's subtrees each cost less than a refinement, as every subtree
     lies in one of them.
+
+    A walk from the root also prunes its first level by automorphisms of
+    Y (McKay & Piperno 2014; Seress 2003): once a candidate's subtree has
+    failed, a later candidate is walked only if no automorphism carries a
+    failed candidate to it.  The mirror search, from Y to Y on the same
+    free targets, rank maps and colours, looks for one on demand, after
+    the candidate's own refinement if its level refines, and each one
+    found joins its cycles into the orbits known.  The mirror's searches
+    for a candidate may read as much as the walk has per failed candidate,
+    so they at most about double the walk, and a walk whose failed
+    subtrees each cost less than a refinement never searches.  Nor does a
+    walk whose first subtree succeeds; neither builds the mirror.
     """
 
     def __init__(self, X: Space, Y: Space, colorsX: list[int], colorsY: list[int], reads: int):
-        self.rkX, self.rkY = X._view.ranks, Y._view.ranks
-        self.colors = (colorsX, colorsY)
+        self.rkY, self.colorsY = Y._view.ranks, colorsY
         self.reads = reads  # what the last refinement read: the price of one
-        size = Counter(colorsX)  # a cell has as many Y points as X points
-        src, dst = _label_order(X), _label_order(Y)
-        self.free = [a for a, i in enumerate(src) if size[colorsX[i]] > 1]
+        self.dst = dst = _label_order(Y)
+        size = Counter(colorsY)  # a cell has as many X points as Y points
         self.target_at = [p for p, j in enumerate(dst) if size[colorsY[j]] > 1]
         self.targets = targets = [dst[p] for p in self.target_at]
-        lone = {colorsY[j]: p for p, j in enumerate(dst) if size[colorsY[j]] == 1}
-        self.settled = [lone.get(colorsX[i]) for i in src]
+        self.lone = {colorsY[j]: p for p, j in enumerate(dst) if size[colorsY[j]] == 1}
         bit = [1 << q for q in range(len(targets))]
-        cell_bits: dict[int, int] = {}
+        self.cell_bits = cell_bits = {}
         at_rank: list[dict] = [{} for _ in targets]  # [q][r]: free targets at rank r from the q-th
         for q, j in enumerate(targets):
             cell_bits[colorsY[j]] = cell_bits.get(colorsY[j], 0) | bit[q]
@@ -376,11 +388,41 @@ class _Search:
                 mine[r] = mine.get(r, 0) | bit[p]
                 theirs[r] = theirs.get(r, 0) | bit[q]
         self.at_rank = at_rank
+        self._source(X._view.ranks, colorsX, _label_order(X))
+
+    def _source(self, rkX, colorsX: list[int], src: list[int]) -> None:
+        """Take the source's side: its free points in label order, their
+        ranks among themselves and their cells' bits."""
+        self.rkX, self.colors = rkX, (colorsX, self.colorsY)
+        self.free = [a for a, i in enumerate(src) if colorsX[i] not in self.lone]
+        self.settled = [self.lone.get(colorsX[i]) for i in src]
         self.points = points = [src[a] for a in self.free]
         pick = operator.itemgetter(*points) if points else None  # a free cell has two points or more
-        self.rows = [pick(self.rkX[i]) for i in points]
-        self.cells = [cell_bits[colorsX[i]] for i in points]
+        self.rows = [pick(rkX[i]) for i in points]
+        self.cells = [self.cell_bits[colorsX[i]] for i in points]
         self._root = None
+
+    @cached_property
+    def _mirror(self) -> "_Search":
+        """The search from Y to Y on the same free targets, rank maps and
+        colours: its leaves are automorphisms of Y."""
+        mirror = copy.copy(self)
+        mirror._source(self.rkY, self.colorsY, self.dst)
+        return mirror
+
+    def _automorphism(self, r: int, q: int, limit: int) -> tuple[Optional[list[int]], int]:
+        """An automorphism of Y taking the r-th free target to the q-th, as
+        the images of the free targets, and the ranks read; None if there
+        is none, or if the search would read more than ``limit``.  The
+        mirror search individualizes r with q, refines (priced as the last
+        refinement when it prunes) and walks to its first leaf."""
+        mirror = self._mirror
+        found = mirror._refine_at(mirror._partition(), [(r, q)])
+        price = mirror.reads
+        if found is None:
+            return None, price
+        masks, part = found
+        return mirror.first_leaf([], masks, 0, part, limit - price), price + mirror.walked
 
     def _partition(self):
         """The root partition as cells and colours, built on first use."""
@@ -421,21 +463,31 @@ class _Search:
             cell_bits[colorsY[y]] = cell_bits.get(colorsY[y], 0) | 1 << q
         return [cell_bits[colorsX[x]] for x in self.points], (cells, colorsX, colorsY)
 
-    def first_leaf(self, image: list[int], masks=None, base: int = 0) -> Optional[list[int]]:
-        """The whole map of the first leaf below a consistent prefix of
-        images (bits of the first free points), or None.  ``masks`` are
-        the candidates of every free point given the first ``base``
-        placed points; by default the cells' bits, given none.  The
-        untried bits of each level sit on a stack, so the depth is bounded
-        by memory, not by the recursion limit."""
+    def first_leaf(self, image: list[int], masks=None, base: int = 0, part=None, limit=None) -> Optional[list[int]]:
+        """The images (bits) of the free points at the first leaf below a
+        consistent prefix of images of the first free points, or None.
+        ``masks`` are the candidates of every free point given the first
+        ``base`` placed points, and ``part`` the partition they come from,
+        in which the placed points are not individualized; by default the
+        cells' bits and the root partition.  The untried bits of each level
+        sit on a stack, so the depth is bounded by memory, not by the
+        recursion limit.  With a ``limit``, a walk that has read more at a
+        dead end gives up and returns None.
+
+        From the root (no masks given), a first point's candidate whose
+        subtree failed rules out its orbit under the automorphisms of Y: a
+        later candidate is skipped when an automorphism, found on demand,
+        carries a failed candidate to it.  ``walked`` keeps the ranks the
+        walk read, which prices the mirror's walks."""
         rows, at_rank = self.rows, self.at_rank
         f, k = len(rows), len(image)
+        orbits = None
         if masks is None:
-            masks = self.cells
+            masks, orbits = self.cells, _Orbits(self)
         stack: list[int] = []  # the untried bits of each level
         # each frame: masks, the placed points they account for, and the
         # partition they come from with the points individualized in it
-        frames = [(masks, base, None, 0)]
+        frames = [(masks, base, part, 0)]
         # per level, the ranks read below the candidates it took plainly
         # (less those read when the current one was taken), and how many
         below, taken = [0] * f, [0] * f
@@ -446,49 +498,106 @@ class _Search:
             for r, p in zip(rows[k][base:], image[base:]) if base else zip(rows[k], image):
                 bits &= at_rank[p].get(r, 0)
             reads += k - base + 1
-            while True:  # take the next candidate that refinement does not prune
+            while True:  # take the next candidate that neither refinement nor Aut(Y) prunes
                 while not bits:  # dead end: back to the last level with bits left
-                    if not stack:
+                    if not stack or limit is not None and reads > limit:
+                        self.walked = reads
                         return None
                     bits = stack.pop()
-                    image.pop()
+                    q = image.pop()
                     k -= 1
                     if base > k:
                         frames.pop()
                         masks, base = frames[-1][:2]
                     below[k] += reads
                     taken[k] += 1
+                    if orbits and not k:
+                        orbits.failed.append(q)
                 low = bits & -bits
                 bits ^= low
                 q = low.bit_length() - 1
+                first = orbits and not k
+                if first and orbits.dead(q):
+                    continue
                 spent = below[k]
-                if spent <= taken[k] * cost:
+                found = None
+                if spent > taken[k] * cost:  # individualize the k-th point with q and refine
+                    part, done = frames[-1][2:]
+                    found = self._refine_at(part or self._partition(), [*zip(range(done, k), image[done:]), (k, q)])
+                    reads += cost
+                    if found is None:
+                        if first:
+                            orbits.failed.append(q)
+                        continue
+                if first and orbits.carried(q, reads):
+                    continue
+                if found is None:
                     below[k] = spent - reads
-                    found = None
-                    break
-                # individualize the k-th point with q and refine
-                part, done = frames[-1][2:]
-                found = self._refine_at(part or self._partition(), [*zip(range(done, k), image[done:]), (k, q)])
-                reads += cost
-                if found is not None:
-                    break
+                break
             if found is not None:
                 cost = self.reads
                 masks, part = found
                 if len(part[0]) == len(self.rkX):  # discrete: every cell a lone pair
-                    return self._leaf(image + [q] + [m.bit_length() - 1 for m in masks[k + 1 :]])
+                    self.walked = reads
+                    return image + [q] + [m.bit_length() - 1 for m in masks[k + 1 :]]
                 base = k + 1
                 frames.append((masks, base, part, base))
             stack.append(bits)
             image.append(q)
             k += 1
-        return self._leaf(image)
+        self.walked = reads
+        return image
 
     def _leaf(self, image: list[int]) -> list[int]:
         leaf = self.settled[:]
         for a, q in zip(self.free, image):
             leaf[a] = self.target_at[q]
         return leaf
+
+
+class _Orbits:
+    """Y's free targets in orbits under the automorphisms of Y found so far,
+    as a union-find forest, and the first-level candidates that failed.
+    A weak similarity composed with an automorphism of Y is one too, so a
+    candidate in a failed candidate's orbit fails as well."""
+
+    def __init__(self, search: _Search):
+        self.search = search
+        self.parent = list(range(len(search.targets)))
+        self.failed: list[int] = []
+
+    def _find(self, q: int) -> int:
+        parent = self.parent
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        return q
+
+    def dead(self, q: int) -> bool:
+        """Whether q is known to lie in a failed candidate's orbit."""
+        root = self._find(q)
+        return any(self._find(r) == root for r in self.failed)
+
+    def carried(self, q: int, spent: int) -> bool:
+        """Whether an automorphism of Y is found that carries a failed
+        candidate to q.  The mirror search tries one failed candidate of
+        each orbit.  Together its searches for q may read what the walk
+        has read per failed candidate so far (``spent`` in all), about the
+        price of walking q instead, and each starts only while that leaves
+        the price of a refinement; so they at most about double the walk,
+        and a walk whose failed subtrees each cost less than a refinement
+        never searches.  An automorphism found joins its cycles into the
+        orbits."""
+        budget = spent // max(len(self.failed), 1)
+        for r in {self._find(r): r for r in self.failed}.values():
+            if budget < self.search.reads:
+                break
+            g, reads = self.search._automorphism(r, q, budget)
+            budget -= reads
+            if g is not None:
+                for a, b in enumerate(g):
+                    self.parent[self._find(a)] = self._find(b)
+                return True
+        return False
 
 
 def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
@@ -502,6 +611,9 @@ def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
     deepest first.  At level i, each image of b_i that fits the identity
     on b_1..b_{i-1} and is outside the orbit so far is extended to its
     first leaf, a new generator: a strong generating set by construction.
+    An image whose search fails rules out its orbit under the generators
+    found so far, which all fix b_1..b_{i-1}; that dead set grows with
+    each new generator, as the orbit does.
     The candidate masks given that identity prefix are built once, in one
     pass down to the deepest level that has a candidate, and every leaf at
     a level starts from them.
@@ -522,30 +634,42 @@ def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
     for i in reversed(range(top + 1)):
         masks = fixed.pop()
         tree: dict = {free[i]: None}
+        dead: dict = {}  # the orbits of the images that failed, under gens
         bits = masks[i] ^ 1 << i  # the points that see b_1..b_{i-1} as b_i does
         while bits:
             low = bits & -bits
             bits ^= low
             c = low.bit_length() - 1
-            if free[c] in tree:
+            if free[c] in tree or free[c] in dead:
                 continue
-            g = search.first_leaf([*range(i), c], masks, i)
-            if g is None:
+            image = search.first_leaf([*range(i), c], masks, i)
+            if image is None:
+                dead[free[c]] = None
+                _close(dead, gens, [free[c]])
                 continue
+            g = search._leaf(image)
             gens.append(g)
-            fresh = []  # the old points need only g: the old generators kept them closed
-            for p in list(tree):
-                if g[p] not in tree:
-                    tree[g[p]] = (g, p)
-                    fresh.append(g[p])
-            for p in fresh:  # grows while it is read
-                for s in gens:
-                    if s[p] not in tree:
-                        tree[s[p]] = (s, p)
-                        fresh.append(s[p])
+            for orbit in (tree, dead):
+                fresh = []  # the old points need only g: the old generators kept them closed
+                for p in list(orbit):
+                    if g[p] not in orbit:
+                        orbit[g[p]] = (g, p)
+                        fresh.append(g[p])
+                _close(orbit, gens, fresh)
         if len(tree) > 1:
             chain.append(tree)
     return chain[::-1]
+
+
+def _close(orbit: dict, gens: list[list[int]], fresh: list[int]) -> None:
+    """Close an orbit (point c: its edge (g, p) with c = g[p]) under
+    ``gens``, given that only the points in ``fresh`` may have images
+    outside it."""
+    for p in fresh:  # grows while it is read
+        for s in gens:
+            if s[p] not in orbit:
+                orbit[s[p]] = (s, p)
+                fresh.append(s[p])
 
 
 def _coset(phi: list[int], chain: list[dict]) -> Iterator[list[int]]:
@@ -614,9 +738,13 @@ def enumerate_weak_similarities(
     if X.n != Y.n or len(X._view.values) != len(Y._view.values):
         return []
     refined = _refine_colors(X._view.ranks, Y._view.ranks)
-    phi = None if refined is None else _Search(X, Y, *refined).first_leaf([])
-    if phi is None:
+    if refined is None:
         return []
+    search = _Search(X, Y, *refined)
+    image = search.first_leaf([])
+    if image is None:
+        return []
+    phi = search._leaf(image)
     if limit is not None and limit > sys.maxsize:  # past islice's range; never reached
         limit = None
     maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(X, refined[0], refined[2])), limit)

@@ -20,7 +20,7 @@ import math
 import random
 from fractions import Fraction
 
-from weaksim import NotSemimetric, Space, new_space
+from weaksim import AmbiguousRanking, NotSemimetric, Space, new_space
 
 
 def brute_force_weak_similarities(X: Space, Y: Space) -> list[dict]:
@@ -139,6 +139,8 @@ def scan_new_space(labels, matrix, backend) -> Space:
     Every entry goes through ``backend.coerce`` in row order; then the
     diagonal, symmetry and positivity are checked pair by pair, in label
     order, through the backend's comparisons, and the first offence raises.
+    A semimetric whose values the backend's tolerance does not split into
+    classes is then refused (see ``_check_tolerance_classes``).
     """
     labels = tuple(str(x) for x in labels)
     m = tuple(tuple(backend.coerce(v) for v in row) for row in matrix)
@@ -151,7 +153,42 @@ def scan_new_space(labels, matrix, backend) -> Space:
                 raise NotSemimetric((labels[i], labels[j]), "asymmetric")
             if not backend.lt(0, m[i][j]):
                 raise NotSemimetric((labels[i], labels[j]), "off-diagonal distance not positive")
+    _check_tolerance_classes(list(dict.fromkeys(v for row in m for v in row)), backend)
     return Space(labels=labels, matrix=m, backend=backend)
+
+
+def _check_tolerance_classes(values, backend) -> None:
+    """Raise AmbiguousRanking unless ``backend.eq`` is transitive on the
+    distinct values, and then on them and 0, so that its classes can be the
+    ranks and the class of 0 rank 0.
+
+    A class is a connected component of the relation; the first one, by
+    least member, in which two values do not compare equal is named by its
+    least and greatest members.  Exact equality is always transitive.
+    """
+
+    def classes(vals):
+        left, found = sorted(vals), []
+        while left:
+            members = [left.pop(0)]
+            for u in members:  # grows while it is read
+                near = [v for v in left if backend.eq(u, v)]
+                left = [v for v in left if v not in near]
+                members += near
+            found.append(sorted(members))
+        return found
+
+    def transitive(members):
+        return all(backend.eq(a, b) for a, b in itertools.combinations(members, 2))
+
+    for members in classes(values):
+        if not transitive(members):
+            raise AmbiguousRanking(
+                f"values {members[0]!r}..{members[-1]!r} chain within tolerance but their extremes do not compare equal"
+            )
+    zero = backend.coerce(0)
+    if not all(map(transitive, classes({*values, zero}))):
+        raise AmbiguousRanking("rank 0 must hold exactly the values that compare equal to 0")
 
 
 def rank_view(matrix) -> tuple:

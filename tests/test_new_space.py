@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import rank_view, scan_new_space
@@ -103,6 +103,9 @@ def tolerance_cases(draw):
 
 
 @given(case=tolerance_cases())
+# 0 is within 0.5 of 0.5, and 0.5 of 5/7, but 0 is not within 0.5 of 5/7:
+# the scan passes, and the ranking is refused
+@example(case=(["b", "a"], [[0.0, 0.5], [F(5, 7), 0.0]], FloatBackend(epsilon=0.5)))
 @settings(max_examples=400, deadline=None)
 def test_float_parity_at_any_tolerance(case):
     labels, matrix, backend = case

@@ -150,9 +150,11 @@ class TestAxiomParity:
         semimetric still fails first, at the witness of the value scan."""
         labels, m = ambiguous_matrix(n, seed)
         backend = FloatBackend(epsilon=EPS)
-        scan_new_space(labels, m, backend)  # a semimetric all the same
-        with pytest.raises(AmbiguousRanking):
+        with pytest.raises(AmbiguousRanking) as expected:  # a semimetric all the same: the scan passes
+            scan_new_space(labels, m, backend)
+        with pytest.raises(AmbiguousRanking) as got:
             new_space(labels, m, backend)
+        assert str(got.value) == str(expected.value)
         i, j = random.Random(seed).sample(range(n), 2)
         m[i][j] = 4.0  # the chain and 2.0, 3.5 never give 4.0: asymmetric
         with pytest.raises(NotSemimetric) as expected:
@@ -173,9 +175,11 @@ class TestAxiomParity:
     def test_rank_zero_is_only_the_diagonal(self, diagonal, d_ab):
         a, b, c = diagonal
         m = [[a, d_ab, 1.0], [d_ab, b, 1.0], [1.0, 1.0, c]]
-        scan_new_space(["a", "b", "c"], m, FloatBackend(epsilon=EPS))  # a semimetric
-        with pytest.raises(AmbiguousRanking):
+        with pytest.raises(AmbiguousRanking) as expected:  # a semimetric: the scan passes
+            scan_new_space(["a", "b", "c"], m, FloatBackend(epsilon=EPS))
+        with pytest.raises(AmbiguousRanking) as got:
             new_space(["a", "b", "c"], m, FloatBackend(epsilon=EPS))
+        assert str(got.value) == str(expected.value)
 
 
 class TestCoincreasingParity:

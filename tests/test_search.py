@@ -44,7 +44,7 @@ from weaksim import (
     snowflake,
     verify,
 )
-from weaksim.morphisms import _refine_colors, _Search
+from weaksim.morphisms import _Orbits, _refine_colors, _Search
 
 
 def shuffled_labels(n, rng):
@@ -453,7 +453,8 @@ class TestLatinSquareGraphs:
     points; the search tells them apart by refining at its nodes."""
 
     @pytest.mark.parametrize(
-        "x, y, seconds", [("latin_z8", "latin_z2_3", 2.0), ("latin_z10", "latin_d5", 10.0)]
+        "x, y, seconds",
+        [("latin_z8", "latin_z2_3", 2.0), ("latin_z10", "latin_d5", 10.0), ("latin_d5", "latin_z10", 2.0)],
     )
     def test_no_morphism_found_within(self, x, y, seconds):
         X = two_distance_space(STRONGLY_REGULAR[x](), 1, 2)
@@ -535,7 +536,7 @@ def cycle_union(lengths, seed=None):
     return graph_space(start, edges, seed)
 
 
-CYCLE_PAIRS = [((6,), (3, 3)), ((8,), (3, 5)), ((4, 4), (8,)), ((9,), (3, 3, 3))]
+CYCLE_PAIRS = [((6,), (3, 3)), ((8,), (3, 5)), ((4, 4), (8,)), ((9,), (3, 3, 3)), ((3, 8), (3, 3, 5))]
 
 
 @pytest.mark.parametrize(
@@ -546,14 +547,16 @@ def test_cycle_unions_match_the_oracles(x, y):
     refinement splits nothing.  ``find`` and the whole enumeration, to a
     relabelled copy or to another union of as many points, equal the
     pairwise search in sequence and order, and brute force up to 8
-    points."""
-    X, Y = cycle_union(x), cycle_union(y, seed=5)
-    expected = list(pairwise_search(X, Y))
-    assert mappings(X, Y) == expected
-    found = find_weak_similarity(X, Y)
-    assert (found.mapping if found else None) == (expected[0] if expected else None)
-    if X.n <= 8:
-        assert [dict(m) for m in expected] == brute_force_weak_similarities(X, Y)
+    points.  The source is taken in its built labelling and relabelled,
+    which changes the images the stabilizer chain tries and sees fail."""
+    Y = cycle_union(y, seed=5)
+    for X in (cycle_union(x), cycle_union(x, seed=9)):
+        expected = list(pairwise_search(X, Y))
+        assert mappings(X, Y) == expected
+        found = find_weak_similarity(X, Y)
+        assert (found.mapping if found else None) == (expected[0] if expected else None)
+        if X.n <= 8:
+            assert [dict(m) for m in expected] == brute_force_weak_similarities(X, Y)
 
 
 def test_refinement_at_nodes_only_where_dead_ends_cost_one(monkeypatch):
@@ -563,7 +566,13 @@ def test_refinement_at_nodes_only_where_dead_ends_cost_one(monkeypatch):
     squares of Z6 and S3 do, and are told apart."""
     calls = []
     refine_at = _Search._refine_at
-    monkeypatch.setattr(_Search, "_refine_at", lambda self, *args: calls.append(1) or refine_at(self, *args))
+
+    def counted(self, *args):  # at a node of a walk, not where an automorphism search starts
+        if sys._getframe(1).f_code is _Search.first_leaf.__code__:
+            calls.append(1)
+        return refine_at(self, *args)
+
+    monkeypatch.setattr(_Search, "_refine_at", counted)
     X = random_ultrametric(48, 3)
     Y, _ = derive_partner(derive_partner(X, "distorted", seed=4)[0], "relabeled", seed=5)
     assert find_weak_similarity(X, Y) is not None
@@ -574,6 +583,35 @@ def test_refinement_at_nodes_only_where_dead_ends_cost_one(monkeypatch):
     X, Y = FIXED_PAIRS["latin_z6_latin_s3"]()
     assert find_weak_similarity(X, Y) is None
     assert calls
+
+
+def test_a_failed_first_candidate_rules_out_its_orbit(monkeypatch):
+    """The Latin-square graphs of Z6 and S3 are vertex-transitive, so once
+    the first point's first candidate fails, automorphisms of Y found on
+    demand rule out every other one: one first-level subtree is walked.
+    C3 + C3 + C5 has two orbits, so a candidate of the one is not carried
+    from a failed candidate of the other, and that search for an
+    automorphism fails; the answers still equal the oracle's.  Between C8
+    and C3 + C5 every failed subtree costs less than a refinement, and no
+    automorphism is searched for."""
+    walked, attempts = [], []
+    carried, automorphism = _Orbits.carried, _Search._automorphism
+    monkeypatch.setattr(_Orbits, "carried", lambda self, *args: carried(self, *args) or walked.append(args[0]))
+    monkeypatch.setattr(_Search, "_automorphism", lambda self, *args: attempts.append(automorphism(self, *args)) or attempts[-1])
+    for x, y in (("latin_z6", "latin_s3"), ("latin_s3", "latin_z6")):
+        X = two_distance_space(STRONGLY_REGULAR[x](), 1, 2)
+        Y = two_distance_space(STRONGLY_REGULAR[y](), 1, 2, seed=7)
+        walked.clear()
+        assert find_weak_similarity(X, Y) is None
+        assert len(walked) == 1
+    attempts.clear()
+    assert find_weak_similarity(cycle_union((8,)), cycle_union((3, 5), seed=5)) is None
+    assert not attempts  # each failed subtree cost less than a refinement
+    X, Y = cycle_union((3, 8)), cycle_union((3, 3, 5), seed=5)
+    assert find_weak_similarity(X, Y) is None
+    found = [g is not None for g, _ in attempts]
+    assert True in found and False in found
+    assert mappings(X, Y) == list(pairwise_search(X, Y)) == []
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
