@@ -81,6 +81,10 @@ def space_from_obj(obj: dict) -> Space:
     try:
         if not isinstance(obj["labels"], list):
             raise FormatError("labels must be an array")
+        try:  # JSON's \ud800 escapes make lone surrogates, which no file or stream can hold
+            "".join(map(str, obj["labels"])).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"a label holds {exc.object[exc.start : exc.end]!r}, which UTF-8 cannot encode") from None
         matrix = _rows_from_obj(obj["matrix"], "matrix")
         return new_space(obj["labels"], matrix, backend_from_obj(obj["backend"]))
     except (KeyError, TypeError) as exc:

@@ -16,7 +16,8 @@ candidate has failed, a later candidate that an automorphism of Y, found
 on demand by the same engine from Y to Y, carries it to fails too, so it
 is skipped.  Every other weak similarity is that one composed with an
 isometry of X, so enumeration builds Aut(X) as a stabilizer chain by
-Sims's backtrack on the same engine and walks that coset.
+Sims's backtrack, each generator read off another leaf of the same X → Y
+search, and walks that coset.
 
 Order is deterministic: results arrive in lexicographic order of the
 mapping, source labels sorted and images compared by target label.
@@ -369,7 +370,7 @@ class _Search:
     walk whose first subtree succeeds; neither builds the mirror.
     """
 
-    def __init__(self, X: Space, Y: Space, colorsX: list[int], colorsY: list[int], reads: int):
+    def __init__(self, X: Space, Y: Space, cells: list, colorsX: list[int], colorsY: list[int], reads: int):
         self.rkY, self.colorsY = Y._view.ranks, colorsY
         self.reads = reads  # what the last refinement read: the price of one
         self.dst = dst = _label_order(Y)
@@ -388,26 +389,26 @@ class _Search:
                 mine[r] = mine.get(r, 0) | bit[p]
                 theirs[r] = theirs.get(r, 0) | bit[q]
         self.at_rank = at_rank
-        self._source(X._view.ranks, colorsX, _label_order(X))
+        self._source(X._view.ranks, (cells, colorsX), _label_order(X))
 
-    def _source(self, rkX, colorsX: list[int], src: list[int]) -> None:
-        """Take the source's side: its free points in label order, their
-        ranks among themselves and their cells' bits."""
-        self.rkX, self.colors = rkX, (colorsX, self.colorsY)
+    def _source(self, rkX, root: tuple[list, list[int]], src: list[int]) -> None:
+        """Take the source's side: the root partition (cells, colours), the
+        free points in label order, their ranks and their cells' bits."""
+        self.rkX, self.root = rkX, root
+        colorsX = root[1]
         self.free = [a for a, i in enumerate(src) if colorsX[i] not in self.lone]
         self.settled = [self.lone.get(colorsX[i]) for i in src]
         self.points = points = [src[a] for a in self.free]
         pick = operator.itemgetter(*points) if points else None  # a free cell has two points or more
         self.rows = [pick(rkX[i]) for i in points]
         self.cells = [self.cell_bits[colorsX[i]] for i in points]
-        self._root = None
 
     @cached_property
     def _mirror(self) -> "_Search":
-        """The search from Y to Y on the same free targets, rank maps and
-        colours: its leaves are automorphisms of Y."""
+        """The search from Y to Y on the same free targets, rank maps,
+        colours and root cells: its leaves are automorphisms of Y."""
         mirror = copy.copy(self)
-        mirror._source(self.rkY, self.colorsY, self.dst)
+        mirror._source(self.rkY, ([(ys, ys) for _, ys in self.root[0]], self.colorsY), self.dst)
         return mirror
 
     def _automorphism(self, r: int, q: int, limit: int) -> tuple[Optional[list[int]], int]:
@@ -417,30 +418,18 @@ class _Search:
         mirror search individualizes r with q, refines (priced as the last
         refinement when it prunes) and walks to its first leaf."""
         mirror = self._mirror
-        found = mirror._refine_at(mirror._partition(), [(r, q)])
+        found = mirror._refine_at(mirror.root, [(r, q)])
         price = mirror.reads
         if found is None:
             return None, price
         masks, part = found
         return mirror.first_leaf([], masks, 0, part, limit - price), price + mirror.walked
 
-    def _partition(self):
-        """The root partition as cells and colours, built on first use."""
-        if self._root is None:
-            colorsX, colorsY = self.colors
-            cells = [([], []) for _ in range(max(colorsX, default=-1) + 1)]
-            for x, c in enumerate(colorsX):
-                cells[c][0].append(x)
-            for y, c in enumerate(colorsY):
-                cells[c][1].append(y)
-            self._root = (cells, colorsX, colorsY)
-        return self._root
-
     def _refine_at(self, part, pairs):
         """Individualize each (free point, bit) pair in the partition and
         refine it: None if unbalanced, else the candidate masks of the
         free points and the refined partition."""
-        cells, colorsX, _ = part
+        cells, colorsX = part
         cells = cells[:]  # refinement replaces cells, never changes one
         queue = []
         for k, q in pairs:
@@ -461,7 +450,7 @@ class _Search:
         cell_bits: dict[int, int] = {}
         for q, y in enumerate(self.targets):
             cell_bits[colorsY[y]] = cell_bits.get(colorsY[y], 0) | 1 << q
-        return [cell_bits[colorsX[x]] for x in self.points], (cells, colorsX, colorsY)
+        return [cell_bits[colorsX[x]] for x in self.points], (cells, colorsX)
 
     def first_leaf(self, image: list[int], masks=None, base: int = 0, part=None, limit=None) -> Optional[list[int]]:
         """The images (bits) of the free points at the first leaf below a
@@ -487,7 +476,7 @@ class _Search:
         stack: list[int] = []  # the untried bits of each level
         # each frame: masks, the placed points they account for, and the
         # partition they come from with the points individualized in it
-        frames = [(masks, base, part, 0)]
+        frames = [(masks, base, part or self.root, 0)]
         # per level, the ranks read below the candidates it took plainly
         # (less those read when the current one was taken), and how many
         below, taken = [0] * f, [0] * f
@@ -523,7 +512,7 @@ class _Search:
                 found = None
                 if spent > taken[k] * cost:  # individualize the k-th point with q and refine
                     part, done = frames[-1][2:]
-                    found = self._refine_at(part or self._partition(), [*zip(range(done, k), image[done:]), (k, q)])
+                    found = self._refine_at(part, [*zip(range(done, k), image[done:]), (k, q)])
                     reads += cost
                     if found is None:
                         if first:
@@ -600,54 +589,58 @@ class _Orbits:
         return False
 
 
-def _stabilizer_chain(X: Space, colorsX: list[int], reads: int) -> list[dict]:
-    """Aut(X) by Sims's backtrack: the Schreier trees (c: (g, p) for the
-    edge c = g[p], root: None) of the basic orbits of more than one point.
+def _stabilizer_chain(search: _Search, phi: list[int]) -> list[dict]:
+    """Aut(X) by Sims's backtrack on the X -> Y search whose first leaf is
+    ``phi`` (the images, as bits, of the free points): the Schreier trees
+    (c: (g, p) for the edge c = g[p], root: None) of the basic orbits of
+    more than one point.
 
-    ``colorsX`` is X's side of a refinement against any Y that succeeded:
-    X's keys alone made every split, as refining X against itself would.
+    Every leaf of the search is phi ∘ g for an isometry g of X, so a leaf
+    psi gives the automorphism g = phi⁻¹ ∘ psi (McKay & Piperno 2014).
     The base is X's free points in label order; refinement is
     isomorphism-invariant, so automorphisms fix the lone ones.  Levels run
-    deepest first.  At level i, each image of b_i that fits the identity
-    on b_1..b_{i-1} and is outside the orbit so far is extended to its
-    first leaf, a new generator: a strong generating set by construction.
-    An image whose search fails rules out its orbit under the generators
-    found so far, which all fix b_1..b_{i-1}; that dead set grows with
-    each new generator, as the orbit does.
-    The candidate masks given that identity prefix are built once, in one
+    deepest first.  At level i, each image c of b_i other than phi(b_i)
+    that fits phi on b_1..b_{i-1}, where phi⁻¹(c) is outside the orbit so
+    far, is extended to its first leaf, which gives a new generator
+    taking b_i to phi⁻¹(c): a strong generating set by construction.  An
+    image whose search fails rules out phi⁻¹(c)'s orbit under the
+    generators found so far, which all fix b_1..b_{i-1}; that dead set
+    grows with each new generator, as the orbit does.
+    The candidate masks given phi on that prefix are built once, in one
     pass down to the deepest level that has a candidate, and every leaf at
     a level starts from them.
     """
-    search = _Search(X, X, colorsX, colorsX, reads)
     free, cells, rows, at_rank = search.free, search.cells, search.rows, search.at_rank
     f = len(free)
     top = next(  # the deepest b_i that another point sees as b_i sees b_1..b_{i-1}
         (i for i in reversed(range(f)) for c in range(i + 1, f) if cells[c] == cells[i] and rows[c][:i] == rows[i][:i]),
         -1,
     )
-    fixed = [cells]  # fixed[i][k]: the candidates of point k once b_1..b_i are fixed
+    fixed = [cells]  # fixed[i][k]: the candidates of point k once b_1..b_i go where phi takes them
     for i in range(top):
-        prev = fixed[-1]
-        fixed.append(prev[: i + 1] + [m & at_rank[i].get(row[i], 0) for m, row in zip(prev[i + 1 :], rows[i + 1 :])])
+        prev, ranks = fixed[-1], at_rank[phi[i]]
+        fixed.append(prev[: i + 1] + [m & ranks.get(row[i], 0) for m, row in zip(prev[i + 1 :], rows[i + 1 :])])
+    back = {p: a for a, p in enumerate(search._leaf(phi))}  # phi⁻¹, from Y's label order to X's
     gens: list[list[int]] = []
     chain = []
     for i in reversed(range(top + 1)):
         masks = fixed.pop()
         tree: dict = {free[i]: None}
         dead: dict = {}  # the orbits of the images that failed, under gens
-        bits = masks[i] ^ 1 << i  # the points that see b_1..b_{i-1} as b_i does
+        bits = masks[i] ^ 1 << phi[i]  # the targets that see phi(b_1..b_{i-1}) as phi(b_i) does
         while bits:
             low = bits & -bits
             bits ^= low
             c = low.bit_length() - 1
-            if free[c] in tree or free[c] in dead:
+            x = back[search.target_at[c]]
+            if x in tree or x in dead:
                 continue
-            image = search.first_leaf([*range(i), c], masks, i)
+            image = search.first_leaf([*phi[:i], c], masks, i)
             if image is None:
-                dead[free[c]] = None
-                _close(dead, gens, [free[c]])
+                dead[x] = None
+                _close(dead, gens, [x])
                 continue
-            g = search._leaf(image)
+            g = [back[p] for p in search._leaf(image)]
             gens.append(g)
             for orbit in (tree, dead):
                 fresh = []  # the old points need only g: the old generators kept them closed
@@ -737,17 +730,18 @@ def enumerate_weak_similarities(
         return []
     if X.n != Y.n or len(X._view.values) != len(Y._view.values):
         return []
-    refined = _refine_colors(X._view.ranks, Y._view.ranks)
+    cells = [(list(range(X.n)), list(range(Y.n)))]
+    refined = _refine_colors(X._view.ranks, Y._view.ranks, cells)
     if refined is None:
         return []
-    search = _Search(X, Y, *refined)
+    search = _Search(X, Y, cells, *refined)
     image = search.first_leaf([])
     if image is None:
         return []
     phi = search._leaf(image)
     if limit is not None and limit > sys.maxsize:  # past islice's range; never reached
         limit = None
-    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(X, refined[0], refined[2])), limit)
+    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(search, image)), limit)
     scaling = increasing_bijection(distance_set(Y), distance_set(X))
     cls = classify_scaling(scaling, X.backend, Y.backend)  # one table, one classification
     xs = [X.labels[i] for i in _label_order(X)]

@@ -445,6 +445,21 @@ class TestInputErrors:
         checks = json.loads(proc.stdout)["report"]["result"]["checks"]
         assert checks == [{"name": "semimetric", "ok": False, "witness": ["a", "o"], "reason": "asymmetric"}]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["morph", "find", "--x", "s.json", "--y", "s.json", "--format", "text"],
+            ["transform", "snowflake", "--in", "s.json", "--p", "2", "--out", "y.csv"],
+        ],
+    )
+    def test_a_label_that_utf8_cannot_encode(self, tmp_path, argv):
+        """JSON's \\ud800 escape loads as a lone surrogate, which neither the
+        text report nor a written file can hold."""
+        (tmp_path / "s.json").write_text('{"labels": ["\\ud800", "b"], "backend": "rational", '
+                                         '"matrix": [["0", "1"], ["1", "0"]]}')
+        assert_input_error(run_child(tmp_path, *argv))
+        assert not (tmp_path / "y.csv").exists()
+
     def test_csv_float_entries_must_be_finite(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b\n0,inf\ninf,0\n")
         assert_input_error(run_child(tmp_path, "check", "--in", "s.csv", "--epsilon", "1e-9"))

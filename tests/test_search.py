@@ -228,7 +228,7 @@ def assert_refinement_agrees(X, Y):
     """The splitter queue returns None exactly where re-signing every row
     each round does, and otherwise ends with the same cells, and gives X
     the colours that refining X against itself gives: the stabilizer chain
-    reuses them."""
+    builds Aut(X) on the X -> Y search's cells, which must not depend on Y."""
     rkX, rkY = X._view.ranks, Y._view.ranks
     expected, got = signature_refinement(rkX, rkY), _refine_colors(rkX, rkY)
     if expected is None:
@@ -559,6 +559,37 @@ def test_cycle_unions_match_the_oracles(x, y):
             assert [dict(m) for m in expected] == brute_force_weak_similarities(X, Y)
 
 
+@pytest.mark.parametrize(
+    "x, y", [((5, 6, 7, 8, 9), (3, 4, 4, 5, 6, 6, 7)), ((3, 4, 4, 5, 6, 6, 7), (5, 6, 7, 8, 9))], ids=str
+)
+def test_cycle_unions_of_35_points_within(x, y):
+    """Two unions of 35 points with no map between them: refinement splits
+    nothing, and the walk places points in label order across the cycles.
+    About 1 s from the five cycles and a millisecond from the seven on a
+    2-vCPU guest; 5.5 s before the first level was pruned by Aut(Y)."""
+    found, took = elapsed(lambda: find_weak_similarity(cycle_union(x), cycle_union(y, seed=5)))
+    assert found is None and took < 10
+
+
+def test_one_search_per_call(monkeypatch):
+    """The stabilizer chain takes its generators from the X -> Y search's
+    own leaves, so a call builds that one search and none from X to X; the
+    mirror that ``find`` uses to prune by Aut(Y) is a copy of it."""
+    built = []
+    init = _Search.__init__
+    monkeypatch.setattr(_Search, "__init__", lambda self, *args: built.append(args[:2]) or init(self, *args))
+    for name, count in (("p13", 78), ("rook", 1152)):
+        X = two_distance_space(STRONGLY_REGULAR[name](), 1, 2)
+        Y = two_distance_space(STRONGLY_REGULAR[name](), 1, 2, seed=7)
+        built.clear()
+        assert len(enumerate_weak_similarities(X, Y, None)) == count
+        assert len(built) == 1 and built[0][0] is X and built[0][1] is Y
+    X, Y = FIXED_PAIRS["latin_z6_latin_s3"]()
+    built.clear()
+    assert find_weak_similarity(X, Y) is None
+    assert len(built) == 1 and built[0][0] is X and built[0][1] is Y
+
+
 def test_refinement_at_nodes_only_where_dead_ends_cost_one(monkeypatch):
     """A walk without dead ends (an ultrametric against its distorted,
     relabelled partner) and the rook and Shrikhande walks, whose subtrees
@@ -648,7 +679,7 @@ def test_coset_walk_depth_and_memory_are_bounded():
     finally:
         tracemalloc.stop()
         sys.setrecursionlimit(old)
-    assert seconds < 60  # about 15 s under tracemalloc, 1.5 s without it
+    assert seconds < 60  # 5-7.5 s under tracemalloc, 0.4 s without it, on a 2-vCPU guest
     assert peak < 30 * 2**20
     assert len(found) == 3
     assert all(verify(X, Y, ws.as_map(), ws.scaling).ok for ws in found)
