@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from typing import Iterator
 
 from . import __version__
 from .errors import NotSemimetric, WeaksimError
@@ -132,21 +133,59 @@ def _cmd_morph_find(ctx: _Ctx, args) -> tuple[int, dict]:
 
 def _cmd_morph_enum(ctx: _Ctx, args) -> tuple[int, dict]:
     from .formats import morphism_to_obj
-    from .morphisms import enumerate_weak_similarities, verify
+    from .morphisms import WeakSimilarity, _coset, _coset_holds, _forced_scaling, _solve
 
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
     limit = None if args.limit == 0 else args.limit
-    found = enumerate_weak_similarities(X, Y, limit=limit)
-    morphisms = [
-        morphism_to_obj(ws, verify(X, Y, ws.as_map(), ws.scaling).ok) for ws in found
-    ]
-    result = {
-        "count": len(morphisms),
-        "limit": limit,
-        "morphisms": morphisms,
-    }
-    return (0 if morphisms else 1), result
+    solved = _solve(X, Y, limit)
+    if solved is None:
+        return 1, {"count": 0, "limit": limit, "morphisms": []}
+    phi, chain, count = solved
+    # what every map shares, its verdict too: phi and the generators are checked once
+    scaling, cls = _forced_scaling(X, Y)
+    shared = morphism_to_obj(WeakSimilarity(X, Y, (), scaling, cls), _coset_holds(X, Y, phi, chain))
+    xs, ys = sorted(X.labels), sorted(Y.labels)
+
+    def walk(key, value):
+        values = list(map(value, ys))
+        return _coset(phi, chain, [[k + v for v in values] for k in map(key, xs)], count)
+
+    return 0, {"count": count, "limit": limit, "morphisms": _Maps(shared, walk)}
+
+
+class _Maps:
+    """The morphisms of one enumeration, written as the coset walk yields
+    them.  They share all but their maps, so each is the same rendered
+    object around its map's lines.  ``walk(key, value)`` yields each map as
+    the tuple of key(x) + value(y) over its pairs, from a table of those
+    lines rendered once."""
+
+    MARK = "\x00"  # the placeholder entry of the one rendered map
+
+    def __init__(self, shared: dict, walk):
+        self.shared, self.walk = shared, walk
+
+    def json(self, indent: int) -> Iterator[str]:
+        """The list as ``json.dumps(..., indent=2)`` writes it, its items
+        at column ``indent``."""
+        pad = "\n" + " " * indent
+        entry = pad + "    "
+        obj = json.dumps({**self.shared, "map": {self.MARK: None}}, indent=2)
+        head, tail = obj.replace("\n", pad).split(entry + json.dumps(self.MARK) + ": null")
+        sep = "[" + pad
+        for leaf in self.walk(lambda x: entry + json.dumps(x) + ": ", json.dumps):
+            yield sep + head + ",".join(leaf) + tail
+            sep = "," + pad
+        yield "\n" + " " * (indent - 2) + "]"
+
+    def text(self, prefix: str) -> Iterator[str]:
+        """The list as :func:`_text_lines` writes it, a map's lines at a time."""
+        lines = list(_text_lines([{**self.shared, "map": {self.MARK: None}}], prefix))
+        at = lines.index(f"{prefix}    {self.MARK}: None")
+        head, tail = "\n".join(lines[:at]), "\n".join(lines[at + 1 :])
+        for leaf in self.walk(lambda x: f"\n{prefix}    {x}: ", str):
+            yield head + "".join(leaf) + "\n" + tail
 
 
 def _cmd_morph_classify(ctx: _Ctx, args) -> tuple[int, dict]:
@@ -336,26 +375,47 @@ def _cmd_family_gen(ctx: _Ctx, args) -> tuple[int, dict]:
     return 0, result
 
 
-def _text_lines(value, prefix="") -> list[str]:
+def _text_lines(value, prefix="") -> Iterator[str]:
     if isinstance(value, dict):
-        lines = []
         for k, v in value.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{prefix}{k}:")
-                lines.extend(_text_lines(v, prefix + "  "))
+            if isinstance(v, (dict, list, _Maps)):
+                yield f"{prefix}{k}:"
+                yield from _text_lines(v, prefix + "  ")
             else:
-                lines.append(f"{prefix}{k}: {v}")
-        return lines
-    if isinstance(value, list):
-        lines = []
+                yield f"{prefix}{k}: {v}"
+    elif isinstance(value, list):
         for item in value:
             if isinstance(item, (dict, list)):
-                lines.append(f"{prefix}-")
-                lines.extend(_text_lines(item, prefix + "  "))
+                yield f"{prefix}-"
+                yield from _text_lines(item, prefix + "  ")
             else:
-                lines.append(f"{prefix}- {item}")
-        return lines
-    return [f"{prefix}{value}"]
+                yield f"{prefix}- {item}"
+    elif isinstance(value, _Maps):
+        yield from value.text(prefix)
+    else:
+        yield f"{prefix}{value}"
+
+
+def _write(envelope: dict, fmt: str, start: float) -> None:
+    """Print the envelope as ``json.dumps(envelope, indent=2)``, or its
+    report as text lines.  A :class:`_Maps` is written as it is walked, and
+    then the JSON timing is taken again, so that it covers the write."""
+    out = sys.stdout
+    if fmt == "text":
+        out.writelines(line + "\n" for line in _text_lines(envelope["report"]))
+        return
+    result = envelope["report"]["result"]
+    maps = result.get("morphisms")
+    if not isinstance(maps, _Maps):
+        out.write(json.dumps(envelope, indent=2) + "\n")
+        return
+    # argv and file paths cannot hold a NUL, so the two marks are the only ones
+    result["morphisms"] = envelope["timing"]["seconds"] = _Maps.MARK
+    head, middle, tail = json.dumps(envelope, indent=2).split(json.dumps(_Maps.MARK))
+    out.write(head)
+    key = head[head.rindex("\n") + 1 :]
+    out.writelines(maps.json(len(key) - len(key.lstrip(" ")) + 2))
+    out.write(middle + json.dumps(time.perf_counter() - start) + tail + "\n")
 
 
 def nonnegative_int(text: str) -> int:
@@ -496,13 +556,8 @@ def run(argv=None) -> int:
         return 2
     seconds = time.perf_counter() - start
 
-    envelope = ctx.envelope(result, seconds)
-    if args.format == "text":
-        text = "\n".join(_text_lines(envelope["report"]))
-    else:
-        text = json.dumps(envelope, indent=2)
     try:
-        print(text)
+        _write(ctx.envelope(result, seconds), args.format, start)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (`| head`).  Point stdout at devnull so

@@ -17,7 +17,11 @@ on demand by the same engine from Y to Y, carries it to fails too, so it
 is skipped.  Every other weak similarity is that one composed with an
 isometry of X, so enumeration builds Aut(X) as a stabilizer chain by
 Sims's backtrack, each generator read off another leaf of the same X → Y
-search, and walks that coset.
+search, and walks that coset.  The walk finishes each map as it goes, by
+one gather from a table of (source, target) entries built once per call,
+so every result shares its entries; the CLI walks the same coset with
+entries rendered as JSON or text lines, once phi and the generators are
+verified.
 
 Order is deterministic: results arrive in lexicographic order of the
 mapping, source labels sorted and images compared by target label.
@@ -27,12 +31,12 @@ from __future__ import annotations
 
 import copy
 import operator
-import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import repeat
+from math import prod
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .backends import Backend, FloatBackend, Value
@@ -181,15 +185,22 @@ def verify(
         raise DomainMismatch("scaling range differs from the source distance set")
     # the checks above pair the k-th distance of Y with the k-th of X, so
     # the identity holds on a pair exactly when its two ranks agree
-    rkX, rkY = X._view.ranks, Y._view.ranks
     order = _label_order(X)
     image = [Y.index(m[X.labels[i]]) for i in order]
+    bad = _rank_disagreement(X._view.ranks, Y._view.ranks, order, image)
+    return Verdict(True) if bad is None else Verdict(False, (X.labels[bad[0]], X.labels[bad[1]]))
+
+
+def _rank_disagreement(rkX, rkY, order: list[int], image: list[int]) -> Optional[tuple[int, int]]:
+    """The first pair of points, taken in ``order``, whose rank in rkX
+    differs from that of their images in rkY (``image[a]`` is the image of
+    ``order[a]``), or None if every pair agrees."""
     for a, i in enumerate(order):
         row_x, row_y = rkX[i], rkY[image[a]]
-        for b in range(a + 1, X.n):
+        for b in range(a + 1, len(order)):
             if row_x[order[b]] != row_y[image[b]]:
-                return Verdict(False, (X.labels[i], X.labels[order[b]]))
-    return Verdict(True)
+                return i, order[b]
+    return None
 
 
 def classify_scaling(
@@ -665,27 +676,56 @@ def _close(orbit: dict, gens: list[list[int]], fresh: list[int]) -> None:
                 fresh.append(s[p])
 
 
-def _coset(phi: list[int], chain: list[dict]) -> Iterator[list[int]]:
-    """phi ∘ g for every g in the group of the chain, in lexicographic order
-    of the images.  At base point b, a map h that agrees on the earlier
-    base points goes on as h ∘ u_c for each c in b's basic orbit, taken in
-    order of h(c); u_c = g ∘ u_p along the edge c = g[p] maps b to c, and
-    is composed on first use and kept."""
-    known = [{next(iter(tree)): list(range(len(phi)))} for tree in chain]
+def _coset(phi: list[int], chain: list[dict], rows: list[list], count: int) -> Iterator[tuple]:
+    """The first ``count`` maps phi ∘ g, for g in the group of the chain, in
+    lexicographic order of the images, each finished as the tuple of
+    rows[a][p] over the pairs a -> p of its points (X's and Y's places in
+    label order), so that every map shares the entries of one table.
+    At base point b, a map h that agrees on the earlier base points goes
+    on as h ∘ u_c for each c in b's basic orbit, taken in order of h(c);
+    u_c = g ∘ u_p along the edge c = g[p] maps b to c, and is composed on
+    first use and kept.  The deepest levels whose group has at most n
+    elements, the last level at least, are walked at once instead: that
+    group is listed once per call, and at a map h above it its elements w
+    go in order of the images h ∘ w gives their base points, each map
+    gathered from the table straight away, never built as a list."""
+    getitem = operator.getitem
+    if not chain:
+        yield tuple(map(getitem, rows, phi))
+        return
+    n, cut, size = len(phi), len(chain) - 1, len(chain[-1])
+    while cut and size * len(chain[cut - 1]) <= n:  # the group stays a table of n² at most
+        cut -= 1
+        size *= len(chain[cut])
+    upper, bases = chain[:cut], [next(iter(tree)) for tree in chain[cut:]]
+    identity = list(range(n))
+    group = [identity]
+    for tree in reversed(chain[cut:]):  # u ∘ w for u in the level's transversal, w below it
+        us: dict = {}
+        for c, edge in tree.items():  # a tree lists a point after its edge's other end
+            us[c] = identity if edge is None else list(map(edge[0].__getitem__, us[edge[1]]))
+        group = [list(map(u.__getitem__, w)) for u in us.values() for w in group]
+    moved = [[w[b] for w in group] for b in bases]  # the images of each base point
+    known = [{next(iter(tree)): identity} for tree in upper]
     maps, todo = [phi], []
-    while maps:
+    while maps and count > 0:
         h = maps[-1]
-        if len(maps) > len(chain):
-            yield maps.pop()
+        if len(maps) > len(upper):
+            maps.pop()
+            at = h.__getitem__
+            # distinct elements move the base points apart, so w is never compared
+            for keyed in sorted(zip(*[map(at, images) for images in moved], group))[:count]:
+                yield tuple(map(getitem, rows, map(at, keyed[-1])))
+            count -= len(group)
             continue
         if len(todo) < len(maps):
-            todo.append(iter(sorted(chain[len(todo)], key=h.__getitem__)))
+            todo.append(iter(sorted(upper[len(todo)], key=h.__getitem__)))
         c = next(todo[-1], None)
         if c is None:
             todo.pop()
             maps.pop()
             continue
-        tree, us = chain[len(todo) - 1], known[len(todo) - 1]
+        tree, us = upper[len(todo) - 1], known[len(todo) - 1]
         path = []
         while c not in us:
             path.append(c)
@@ -694,6 +734,46 @@ def _coset(phi: list[int], chain: list[dict]) -> Iterator[list[int]]:
             g, p = tree[c]
             us[c] = list(map(g.__getitem__, us[p]))
         maps.append(list(map(h.__getitem__, us[c])))
+
+
+def _solve(X: Space, Y: Space, limit: Optional[int]) -> Optional[tuple[list[int], list[dict], int]]:
+    """The first leaf phi of the X -> Y search, Aut(X)'s stabilizer chain
+    (none when limit is 1: phi alone is asked for) and the number of maps
+    to list, min(limit, |Aut(X)|), |Aut(X)| being the product of the basic
+    orbit sizes; None when there is no weak similarity.  phi gives, in X's
+    label order, the place of each point's image in Y's."""
+    if X.n != Y.n or len(X._view.values) != len(Y._view.values):
+        return None
+    cells = [(list(range(X.n)), list(range(Y.n)))]
+    refined = _refine_colors(X._view.ranks, Y._view.ranks, cells)
+    if refined is None:
+        return None
+    search = _Search(X, Y, cells, *refined)
+    image = search.first_leaf([])
+    if image is None:
+        return None
+    chain = [] if limit == 1 else _stabilizer_chain(search, image)
+    order = prod(map(len, chain))
+    return search._leaf(image), chain, order if limit is None else min(limit, order)
+
+
+def _coset_holds(X: Space, Y: Space, phi: list[int], chain: list[dict]) -> bool:
+    """Whether phi is a weak similarity and every strong generator of the
+    chain an isometry of X, by :func:`verify`'s rank comparison.  Every map
+    of the coset is phi composed with generators, so then each one is a
+    weak similarity, and none needs a check of its own."""
+    src, dst = _label_order(X), _label_order(Y)
+    rkX = X._view.ranks
+    if _rank_disagreement(rkX, Y._view.ranks, src, [dst[p] for p in phi]):
+        return False
+    gens = {id(edge[0]): edge[0] for tree in chain for edge in tree.values() if edge}
+    return not any(_rank_disagreement(rkX, rkX, src, [src[b] for b in g]) for g in gens.values())
+
+
+def _forced_scaling(X: Space, Y: Space) -> tuple[ScalingFunction, Classification]:
+    """The one scaling table from Y's distances to X's, and its class."""
+    scaling = increasing_bijection(distance_set(Y), distance_set(X))
+    return scaling, classify_scaling(scaling, X.backend, Y.backend)
 
 
 def build_realization(
@@ -724,29 +804,22 @@ def enumerate_weak_similarities(
 
     Pass ``limit=None`` for an unbounded enumeration (factorially many on
     highly symmetric spaces).  A limit of 1 takes the search's first leaf
-    alone; any other walks that leaf times Aut(X).
+    alone; any other walks that leaf times Aut(X), every result sharing
+    its (source label, target label) pairs with the others.
     """
     if limit is not None and limit <= 0:
         return []
-    if X.n != Y.n or len(X._view.values) != len(Y._view.values):
+    solved = _solve(X, Y, limit)
+    if solved is None:
         return []
-    cells = [(list(range(X.n)), list(range(Y.n)))]
-    refined = _refine_colors(X._view.ranks, Y._view.ranks, cells)
-    if refined is None:
-        return []
-    search = _Search(X, Y, cells, *refined)
-    image = search.first_leaf([])
-    if image is None:
-        return []
-    phi = search._leaf(image)
-    if limit is not None and limit > sys.maxsize:  # past islice's range; never reached
-        limit = None
-    maps = [phi] if limit == 1 else islice(_coset(phi, _stabilizer_chain(search, image)), limit)
-    scaling = increasing_bijection(distance_set(Y), distance_set(X))
-    cls = classify_scaling(scaling, X.backend, Y.backend)  # one table, one classification
-    xs = [X.labels[i] for i in _label_order(X)]
-    ys = [Y.labels[j] for j in _label_order(Y)]
-    return [WeakSimilarity(X, Y, tuple(zip(xs, map(ys.__getitem__, h))), scaling, cls) for h in maps]
+    phi, chain, count = solved
+    scaling, cls = _forced_scaling(X, Y)  # one table, one classification
+    xs, ys = sorted(X.labels), sorted(Y.labels)
+    if chain:
+        maps = _coset(phi, chain, [list(zip(repeat(x), ys)) for x in xs], count)
+    else:
+        maps = [tuple(zip(xs, map(ys.__getitem__, phi)))]
+    return [WeakSimilarity(X, Y, m, scaling, cls) for m in maps]
 
 
 def invert(ws: WeakSimilarity) -> WeakSimilarity:

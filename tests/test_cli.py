@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import weaksim
-from weaksim import FloatBackend, new_space, random_metric, segment_grid
+from weaksim import FloatBackend, new_space, random_metric, random_ultrametric, segment_grid
 from weaksim.cli import run
 from weaksim.formats import load_space, save_morphism, save_space, save_table
 from weaksim.transforms import function_table, linear_table, power_table
@@ -314,6 +315,176 @@ class TestDeterminism:
         assert "ultrametric" in out
 
 
+def rook_space():
+    """The 4 x 4 rook's graph, 1 apart on a shared row or column and 2 apart
+    otherwise: 1,152 weak self-similarities, and no transposition of two
+    points is one of them."""
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    m = [[0 if u == v else 1 if u[0] == v[0] or u[1] == v[1] else 2 for v in cells] for u in cells]
+    return new_space([f"v{k:02d}" for k in range(16)], m)
+
+
+def square(labels, near, far, *backend):
+    """Four points on a cycle, ``near`` apart along it and ``far`` across:
+    eight isometries."""
+    m = [[0 if i == j else near if (i - j) % 2 else far for j in range(4)] for i in range(4)]
+    return new_space(labels, m, *backend)
+
+
+ODD_LABELS = ['a"', "b\\", "ç", "d\x01"]
+ODD_TARGETS = ["\x7f", "ü中", 'q"\\', "\t"]
+
+
+class TestStreamedEnumeration:
+    """`morph enum` writes its envelope as the coset walk yields, with the
+    bytes of the whole envelope listed, verified map by map and dumped at
+    once."""
+
+    @staticmethod
+    def listed_report(x, y, limit):
+        """The report built whole: every map listed, verified on its own and
+        turned into a dict."""
+        from weaksim.cli import _digest
+        from weaksim.formats import morphism_to_obj
+        from weaksim.morphisms import enumerate_weak_similarities, verify
+
+        X, Y = load_space(x), load_space(y)
+        found = enumerate_weak_similarities(X, Y, limit=limit or None)
+        morphisms = [morphism_to_obj(ws, verify(X, Y, ws.as_map(), ws.scaling).ok) for ws in found]
+        return {
+            "command": "morph enum",
+            "args": {"x": x, "y": y, "limit": limit},
+            "inputs": {p: _digest(p) for p in sorted({x, y})},
+            "result": {"count": len(morphisms), "limit": limit or None, "morphisms": morphisms},
+        }
+
+    def assert_streamed_as_listed(self, capsys, x, y, limit):
+        from weaksim.cli import _text_lines
+
+        report = self.listed_report(x, y, limit)
+        argv = ["morph", "enum", "--x", x, "--y", y, "--limit", str(limit)]
+        code, out = invoke(capsys, *argv)
+        assert code == (0 if report["result"]["count"] else 1)
+        timing = json.loads(out)["timing"]
+        assert out == json.dumps({"report": report, "timing": timing}, indent=2) + "\n"
+        assert invoke(capsys, *argv, "--format", "text") == (code, "\n".join(_text_lines(report)) + "\n")
+        return report["result"]
+
+    @pytest.mark.parametrize("limit", [1, 2, 7, 8, 0])
+    def test_labels_that_need_escaping(self, capsys, tmp_path, limit):
+        x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        save_space(x, square(ODD_LABELS, 1, 2))
+        save_space(y, square(ODD_TARGETS, 3, 6))
+        result = self.assert_streamed_as_listed(capsys, x, y, limit)
+        assert result["count"] == (limit or 8)
+        assert {m["classification"]["similarity"] for m in result["morphisms"]} == {"3"}
+
+    def test_a_float_backed_pair(self, capsys, tmp_path):
+        x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        save_space(x, square(list("abcd"), 0.1, 0.25, FloatBackend(1e-9)))
+        save_space(y, square(list("pqrs"), 2, 5))
+        result = self.assert_streamed_as_listed(capsys, x, y, 0)
+        assert result["count"] == 8
+        assert result["morphisms"][0]["scaling"][1] == ["2", "0.10000000000000001"]
+
+    def test_no_weak_similarity(self, capsys, tmp_path):
+        x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        save_space(x, square(list("abcd"), 1, 2))
+        save_space(y, new_space(list("pqrs"), [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]]))
+        result = self.assert_streamed_as_listed(capsys, x, y, 0)
+        assert result == {"count": 0, "limit": None, "morphisms": []}
+
+    def test_a_generator_that_is_no_isometry_unverifies_every_map(self, capsys, tmp_path, monkeypatch):
+        """phi and the strong generators are checked once, and a failed
+        check marks the whole enumeration; no map is verified on its own."""
+        from weaksim import morphisms
+
+        path = str(tmp_path / "rook.json")
+        save_space(path, rook_space())
+        argv = ("morph", "enum", "--x", path, "--y", path, "--limit", "0")
+        monkeypatch.setattr(morphisms, "verify", None)  # a call per map would raise
+        code, rep = invoke_json(capsys, *argv)
+        assert [m["verified"] for m in rep["report"]["result"]["morphisms"]] == [True] * 1152
+        chain_of = morphisms._stabilizer_chain
+
+        def broken(search, phi):
+            chain = chain_of(search, phi)
+            g = next(edge[0] for edge in chain[-1].values() if edge)
+            g[0], g[1] = g[1], g[0]  # g composed with a transposition, which rook's graph lacks
+            return chain
+
+        monkeypatch.setattr(morphisms, "_stabilizer_chain", broken)
+        code, rep = invoke_json(capsys, *argv)
+        assert code == 0
+        assert rep["report"]["result"]["count"] == 1152
+        assert [m["verified"] for m in rep["report"]["result"]["morphisms"]] == [False] * 1152
+
+
+# Runs `weaksim` with the arguments given and prints its exit code, wall
+# time, peak RSS and the first and last 64 KiB of its output, which is read
+# as it comes, never held whole.
+CLI_PEAK = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-m", "weaksim", *sys.argv[1:]], stdout=subprocess.PIPE)
+head = tail = proc.stdout.read(1 << 16)
+for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+    tail = (tail + chunk)[-(1 << 16):]
+code = proc.wait()
+print(json.dumps({
+    "code": code,
+    "seconds": time.perf_counter() - start,
+    "peak_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+    "head": head.decode(),
+    "tail": tail.decode(),
+}))
+"""
+
+LIBRARY_PEAK = """
+import json, resource
+from weaksim import enumerate_weak_similarities, random_ultrametric
+X = random_ultrametric(48, 0)
+found = enumerate_weak_similarities(X, X, limit=None)
+print(json.dumps({
+    "count": len(found),
+    "first": found[0].as_map(),
+    "last": found[-1].as_map(),
+    "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def run_script(tmp_path, script, *argv):
+    src = os.path.dirname(os.path.dirname(weaksim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def test_every_map_of_a_48_point_ultrametric_within_bounds(tmp_path):
+    """`random_ultrametric(48, 0)` has 2^16 automorphisms.  Listing them
+    all took 52 s and 2.53 GB through the CLI, and 244 MB in-process, when
+    each map was a dict verified on its own and the envelope was dumped
+    whole; streamed, they take about 2 s and 22 MB, and 51 MB in-process,
+    on a 2-vCPU guest (ru_maxrss is in KiB on Linux)."""
+    save_space(str(tmp_path / "u.json"), random_ultrametric(48, 0))
+    cli = run_script(tmp_path, CLI_PEAK, "morph", "enum", "--x", "u.json", "--y", "u.json", "--limit", "0")
+    lib = run_script(tmp_path, LIBRARY_PEAK)
+    assert cli["code"] == 0
+    assert '"count": 65536' in cli["head"]
+    maps = re.compile(r'"map": (\{[^}]*\})')
+    first, last = json.loads(maps.findall(cli["head"])[0]), json.loads(maps.findall(cli["tail"])[-1])
+    assert lib["count"] == 65536
+    assert (first, last) == (lib["first"], lib["last"])
+    assert cli["seconds"] < 20
+    assert cli["peak_mb"] < 100
+    assert lib["peak_mb"] < 160
+
+
 class TestCorruptMorphismFile:
     def test_swapped_scaling_entries_are_an_input_error(self, capsys, files, tmp_path):
         morph_path = str(tmp_path / "m.json")
@@ -565,10 +736,13 @@ class TestClosedPipe:
             (["transform", "snowflake", "--in", "grid.json", "--p", "1"], 20),
             # a small envelope, with the pipe closed before the child writes
             (["subadditive", "hull-eval", "--f", "hull.json", "--at", "100"], 0),
+            # an enumeration streamed as it is walked, closed mid-stream
+            (["morph", "enum", "--x", "rook.json", "--y", "rook.json", "--limit", "0"], 1),
         ],
     )
     def test_reader_closing_early(self, tmp_path, argv, nbytes):
         save_space(str(tmp_path / "grid.json"), segment_grid(150, 1))
+        save_space(str(tmp_path / "rook.json"), rook_space())
         save_table(str(tmp_path / "hull.json"), HULL_TABLE)
         src = os.path.dirname(os.path.dirname(weaksim.__file__))
         proc = subprocess.Popen(
