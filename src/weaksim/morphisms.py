@@ -125,7 +125,11 @@ class Classification:
 
 @dataclass(frozen=True)
 class WeakSimilarity:
-    """A verified realization: point bijection plus scaling table."""
+    """A point bijection, its scaling table and the table's class.  It is
+    not checked on construction: :func:`verify` checks the defining
+    identity.  Those that :func:`find_weak_similarity` and
+    :func:`enumerate_weak_similarities` return are correct by construction
+    and never verified; the CLI verifies what it reports."""
 
     source: Space
     target: Space
@@ -436,6 +440,28 @@ class _Search:
         masks, part = found
         return mirror.first_leaf([], masks, 0, part, limit - price), price + mirror.walked
 
+    def _carried(self, orbits: _Orbits, q: int, spent: int) -> bool:
+        """Whether an automorphism of Y is found that carries a failed
+        first-level candidate (``orbits`` of the free targets) to q.  The
+        mirror search tries one failed candidate of each orbit.  Together
+        its searches for q may read what the walk has read per failed
+        candidate so far (``spent`` in all), about the price of walking q
+        instead, and each starts only while that leaves the price of a
+        refinement; so they at most about double the walk, and a walk
+        whose failed subtrees each cost less than a refinement never
+        searches.  An automorphism found joins its cycles into the
+        orbits."""
+        budget = spent // max(len(orbits.ruled_out), 1)
+        for r in {orbits.find(r): r for r in orbits.ruled_out}.values():
+            if budget < self.reads:
+                break
+            g, reads = self._automorphism(r, q, budget)
+            budget -= reads
+            if g is not None:
+                orbits.join(g)
+                return True
+        return False
+
     def _refine_at(self, part, pairs):
         """Individualize each (free point, bit) pair in the partition and
         refine it: None if unbalanced, else the candidate masks of the
@@ -483,7 +509,7 @@ class _Search:
         f, k = len(rows), len(image)
         orbits = None
         if masks is None:
-            masks, orbits = self.cells, _Orbits(self)
+            masks, orbits = self.cells, _Orbits(len(self.targets))
         stack: list[int] = []  # the untried bits of each level
         # each frame: masks, the placed points they account for, and the
         # partition they come from with the points individualized in it
@@ -512,7 +538,7 @@ class _Search:
                     below[k] += reads
                     taken[k] += 1
                     if orbits and not k:
-                        orbits.failed.append(q)
+                        orbits.ruled_out.append(q)
                 low = bits & -bits
                 bits ^= low
                 q = low.bit_length() - 1
@@ -527,9 +553,9 @@ class _Search:
                     reads += cost
                     if found is None:
                         if first:
-                            orbits.failed.append(q)
+                            orbits.ruled_out.append(q)
                         continue
-                if first and orbits.carried(q, reads):
+                if first and self._carried(orbits, q, reads):
                     continue
                 if found is None:
                     below[k] = spent - reads
@@ -556,48 +582,29 @@ class _Search:
 
 
 class _Orbits:
-    """Y's free targets in orbits under the automorphisms of Y found so far,
-    as a union-find forest, and the first-level candidates that failed.
-    A weak similarity composed with an automorphism of Y is one too, so a
-    candidate in a failed candidate's orbit fails as well."""
+    """Orbits under the permutations joined so far, as a union-find forest
+    over ``range(size)``, and the points ruled out, each with its orbit:
+    the search and the chain join automorphisms only, so that is sound."""
 
-    def __init__(self, search: _Search):
-        self.search = search
-        self.parent = list(range(len(search.targets)))
-        self.failed: list[int] = []
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.ruled_out: list[int] = []
 
-    def _find(self, q: int) -> int:
+    def find(self, q: int) -> int:
         parent = self.parent
         while parent[q] != q:
             parent[q] = q = parent[parent[q]]
         return q
 
-    def dead(self, q: int) -> bool:
-        """Whether q is known to lie in a failed candidate's orbit."""
-        root = self._find(q)
-        return any(self._find(r) == root for r in self.failed)
+    def join(self, g: list[int]) -> None:
+        """Join the orbit of each point a with that of g[a]."""
+        for a, b in enumerate(g):
+            self.parent[self.find(a)] = self.find(b)
 
-    def carried(self, q: int, spent: int) -> bool:
-        """Whether an automorphism of Y is found that carries a failed
-        candidate to q.  The mirror search tries one failed candidate of
-        each orbit.  Together its searches for q may read what the walk
-        has read per failed candidate so far (``spent`` in all), about the
-        price of walking q instead, and each starts only while that leaves
-        the price of a refinement; so they at most about double the walk,
-        and a walk whose failed subtrees each cost less than a refinement
-        never searches.  An automorphism found joins its cycles into the
-        orbits."""
-        budget = spent // max(len(self.failed), 1)
-        for r in {self._find(r): r for r in self.failed}.values():
-            if budget < self.search.reads:
-                break
-            g, reads = self.search._automorphism(r, q, budget)
-            budget -= reads
-            if g is not None:
-                for a, b in enumerate(g):
-                    self.parent[self._find(a)] = self._find(b)
-                return True
-        return False
+    def dead(self, q: int) -> bool:
+        """Whether q lies in a ruled-out point's orbit."""
+        root = self.find(q)
+        return any(self.find(r) == root for r in self.ruled_out)
 
 
 def _stabilizer_chain(search: _Search, phi: list[int]) -> list[dict]:
@@ -610,13 +617,15 @@ def _stabilizer_chain(search: _Search, phi: list[int]) -> list[dict]:
     psi gives the automorphism g = phi⁻¹ ∘ psi (McKay & Piperno 2014).
     The base is X's free points in label order; refinement is
     isomorphism-invariant, so automorphisms fix the lone ones.  Levels run
-    deepest first.  At level i, each image c of b_i other than phi(b_i)
-    that fits phi on b_1..b_{i-1}, where phi⁻¹(c) is outside the orbit so
-    far, is extended to its first leaf, which gives a new generator
-    taking b_i to phi⁻¹(c): a strong generating set by construction.  An
-    image whose search fails rules out phi⁻¹(c)'s orbit under the
-    generators found so far, which all fix b_1..b_{i-1}; that dead set
-    grows with each new generator, as the orbit does.
+    deepest first, so at level i every generator found so far fixes
+    b_1..b_{i-1}, and one union-find of X's points, joined by each
+    generator, holds the orbits of the group found so far (McKay 1981).
+    At level i, each image c of b_i other than phi(b_i) that fits phi on
+    b_1..b_{i-1}, where phi⁻¹(c) is in neither b_i's orbit nor a failed
+    image's, is extended to its first leaf, a new generator taking b_i to
+    phi⁻¹(c): a strong generating set by construction.  Once a level is
+    done, one breadth-first pass from b_i over the generators (orbit size
+    times their number) builds its tree, a point after its edge's other end.
     The candidate masks given phi on that prefix are built once, in one
     pass down to the deepest level that has a candidate, and every leaf at
     a level starts from them.
@@ -632,48 +641,36 @@ def _stabilizer_chain(search: _Search, phi: list[int]) -> list[dict]:
         prev, ranks = fixed[-1], at_rank[phi[i]]
         fixed.append(prev[: i + 1] + [m & ranks.get(row[i], 0) for m, row in zip(prev[i + 1 :], rows[i + 1 :])])
     back = {p: a for a, p in enumerate(search._leaf(phi))}  # phi⁻¹, from Y's label order to X's
+    orbits = _Orbits(len(back))
     gens: list[list[int]] = []
     chain = []
     for i in reversed(range(top + 1)):
         masks = fixed.pop()
-        tree: dict = {free[i]: None}
-        dead: dict = {}  # the orbits of the images that failed, under gens
+        orbits.ruled_out = [free[i]]  # b_i's own orbit, then the images that failed
         bits = masks[i] ^ 1 << phi[i]  # the targets that see phi(b_1..b_{i-1}) as phi(b_i) does
         while bits:
             low = bits & -bits
             bits ^= low
             c = low.bit_length() - 1
             x = back[search.target_at[c]]
-            if x in tree or x in dead:
+            if orbits.dead(x):
                 continue
             image = search.first_leaf([*phi[:i], c], masks, i)
             if image is None:
-                dead[x] = None
-                _close(dead, gens, [x])
+                orbits.ruled_out.append(x)
                 continue
             g = [back[p] for p in search._leaf(image)]
             gens.append(g)
-            for orbit in (tree, dead):
-                fresh = []  # the old points need only g: the old generators kept them closed
-                for p in list(orbit):
-                    if g[p] not in orbit:
-                        orbit[g[p]] = (g, p)
-                        fresh.append(g[p])
-                _close(orbit, gens, fresh)
+            orbits.join(g)
+        tree, queue = {free[i]: None}, [free[i]]
+        for p in queue:  # breadth first
+            for g in gens:
+                if g[p] not in tree:
+                    tree[g[p]] = (g, p)
+                    queue.append(g[p])
         if len(tree) > 1:
             chain.append(tree)
     return chain[::-1]
-
-
-def _close(orbit: dict, gens: list[list[int]], fresh: list[int]) -> None:
-    """Close an orbit (point c: its edge (g, p) with c = g[p]) under
-    ``gens``, given that only the points in ``fresh`` may have images
-    outside it."""
-    for p in fresh:  # grows while it is read
-        for s in gens:
-            if s[p] not in orbit:
-                orbit[s[p]] = (s, p)
-                fresh.append(s[p])
 
 
 def _coset(phi: list[int], chain: list[dict], rows: list[list], count: int) -> Iterator[tuple]:

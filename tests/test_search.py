@@ -10,12 +10,14 @@ factorize by exact table lookup.
 
 import inspect
 import itertools
+import math
 import operator
 import random
 import string
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -44,7 +46,8 @@ from weaksim import (
     snowflake,
     verify,
 )
-from weaksim.morphisms import _Orbits, _refine_colors, _Search
+from weaksim.morphisms import _rank_disagreement, _refine_colors, _Search, _solve
+from weaksim.spaces import _label_order
 
 
 def shuffled_labels(n, rng):
@@ -626,8 +629,8 @@ def test_a_failed_first_candidate_rules_out_its_orbit(monkeypatch):
     and C3 + C5 every failed subtree costs less than a refinement, and no
     automorphism is searched for."""
     walked, attempts = [], []
-    carried, automorphism = _Orbits.carried, _Search._automorphism
-    monkeypatch.setattr(_Orbits, "carried", lambda self, *args: carried(self, *args) or walked.append(args[0]))
+    carried, automorphism = _Search._carried, _Search._automorphism
+    monkeypatch.setattr(_Search, "_carried", lambda self, *args: carried(self, *args) or walked.append(args[1]))
     monkeypatch.setattr(_Search, "_automorphism", lambda self, *args: attempts.append(automorphism(self, *args)) or attempts[-1])
     for x, y in (("latin_z6", "latin_s3"), ("latin_s3", "latin_z6")):
         X = two_distance_space(STRONGLY_REGULAR[x](), 1, 2)
@@ -656,6 +659,53 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
         sys.setrecursionlimit(old)
     assert ws is not None
     assert verify(X, Y, ws.as_map(), ws.scaling).ok
+
+
+CHAIN_CASES = {
+    "rook": (lambda seed=None: two_distance_space(rook_graph(), 1, 2, seed), 1152),
+    "p13": (lambda seed=None: two_distance_space(paley_graph(13), 1, 2, seed), 78),
+    "latin_z6": (lambda seed=None: two_distance_space(STRONGLY_REGULAR["latin_z6"](), 1, 2, seed), 432),
+    "cfi_k4": (lambda seed=None: two_distance_space(cfi_graph(K4, False), 1, 2, seed), 192),
+    "c3_c3_c5": (lambda seed=None: cycle_union((3, 3, 5), seed), 720),
+    "twins_20": (lambda seed=None: graph_space(40, {(2 * k, 2 * k + 1) for k in range(20)}, seed), 2**20 * math.factorial(20)),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAIN_CASES))
+def test_stabilizer_chain_is_a_base_and_strong_generating_set(name):
+    """Against a relabelled copy, the chain's trees are rooted at free
+    points in label order; every edge c: (g, p) has g[p] == c and comes
+    after p; each tree is closed under the generators on its edges and on
+    deeper trees' edges; a generator's level is the deepest tree it labels
+    an edge of, and it fixes the free points before that tree's root,
+    moves the root and is an isometry of X; and the tree sizes multiply to
+    |Aut(X)|."""
+    build, order = CHAIN_CASES[name]
+    X, Y = build(), build(seed=7)
+    _, chain, count = _solve(X, Y, None)
+    assert count == math.prod(map(len, chain)) == order
+    src, rkX = _label_order(X), X._view.ranks
+    colors = _refine_colors(rkX, Y._view.ranks)[0]
+    size = Counter(colors)
+    free = [a for a, i in enumerate(src) if size[colors[i]] > 1]
+    roots = [next(iter(tree)) for tree in chain]
+    assert set(roots) <= set(free) and roots == sorted(set(roots))
+    level: dict = {}  # id of each generator: (the deepest tree it labels an edge of, the generator)
+    for depth, tree in enumerate(chain):
+        assert tree[roots[depth]] is None
+        seen = {roots[depth]}
+        for c, edge in list(tree.items())[1:]:
+            g, p = edge
+            assert g[p] == c and p in seen
+            seen.add(c)
+            level[id(g)] = depth, g
+    for depth, tree in enumerate(chain):
+        for at, g in level.values():
+            if at >= depth:
+                assert all(g[c] in tree for c in tree)
+    for at, g in level.values():
+        assert all(g[a] == a for a in free if a < roots[at]) and g[roots[at]] != roots[at]
+        assert _rank_disagreement(rkX, rkX, src, [src[b] for b in g]) is None
 
 
 def test_coset_walk_depth_and_memory_are_bounded():
