@@ -7,10 +7,11 @@ deterministic witnesses: the lexicographically first offender in label order.
 
 Every question that depends only on the order of the distances reads one
 rank view per space, cached on the space: the sorted distinct distances, the
-integer rank matrix and, for rational spaces, the matrix scaled to integers
-by the common denominator.  ``new_space`` builds the view in the same pass
-that parses the entries, validates the matrix on its ranks, and refuses a
-float matrix that cannot be ranked unambiguously: every space has a view.
+integer rank matrix, whether those ranks are ultrametric and, for rational
+spaces, the matrix scaled to integers by the common denominator.
+``new_space`` builds the view in the same pass that parses the entries,
+validates the matrix on its ranks, and refuses a float matrix that cannot
+be ranked unambiguously: every space has a view.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ class RankView:
         lcm = math.lcm(*(v.denominator for v in self.values))
         ints = [v.numerator * (lcm // v.denominator) for v in self.values]
         return tuple(tuple(ints[r] for r in row) for row in self.ranks)
+
+    @cached_property
+    def ultrametric(self) -> bool:
+        """Do the ranks satisfy the ultrametric inequality?  One spanning
+        tree per view answers both is_ultrametric and is_metric."""
+        return _spanning_tree_agrees(self.ranks)
 
 
 def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Space:
@@ -265,16 +272,23 @@ def _first_triple(space: Space, m, combine, offends) -> Verdict:
 
     An offence needs m[x][y] > combine(m[x][z], m[z][y]) in plain
     arithmetic, so each (x, z) first compares two whole rows at once; only
-    row pairs where that holds somewhere are searched point by point.
+    row pairs where that holds somewhere are searched point by point.  When
+    ``m`` is exactly symmetric, (x, z, y) offends just when its mirror
+    (y, z, x) does (``combine`` commutes), so the first offence has x
+    before y: the rows are compared, and searched, only from the column
+    after x.
     """
     order = _label_order(space)
     rows = _in_order(m, order)
+    mirrored = m == tuple(zip(*m))
     for a, row_a in enumerate(rows):
+        start = a + 1 if mirrored else 0
+        tail_a = row_a[start:]
         for b, row_b in enumerate(rows):
-            xz = row_a[b]
-            if a == b or not any(map(gt, row_a, map(combine, repeat(xz), row_b))):
+            xz, tail_b = row_a[b], row_b[start:]
+            if a == b or not any(map(gt, tail_a, map(combine, repeat(xz), tail_b))):
                 continue
-            for c, (xy, zy) in enumerate(zip(row_a, row_b)):
+            for c, (xy, zy) in enumerate(zip(tail_a, tail_b), start):
                 if c != a and c != b and offends(xz, zy, xy):
                     return _labelled(space, order, a, b, c)
     return TRUE_VERDICT
@@ -284,10 +298,15 @@ def is_metric(space: Space) -> Verdict:
     """Check the triangle inequality over all ordered triples.
 
     A failing verdict carries (x, z, y) with d(x,y) > d(x,z) + d(z,y),
-    minimal in label order.  Rational spaces are checked on the integer
-    scaled matrix; float spaces compare sums within tolerance.
+    minimal in label order.  A rational ultrametric is a metric, since
+    max(d(x,z), d(z,y)) <= d(x,z) + d(z,y): it passes on the rank view's
+    spanning-tree verdict, in O(n^2).  Other rational spaces are scanned on
+    the integer scaled matrix, float spaces on their values, comparing sums
+    within tolerance.
     """
     if isinstance(space.backend, RationalBackend):
+        if space._view.ultrametric:
+            return TRUE_VERDICT
         m, less = space._view.scaled, lt
     else:
         m, less = space.matrix, space.backend.lt
@@ -322,13 +341,13 @@ def _spanning_tree_agrees(ranks) -> bool:
 def is_ultrametric(space: Space) -> Verdict:
     """Check d(x,y) <= max(d(x,z), d(z,y)) over all ordered triples.
 
-    Decided on ranks in O(n^2) by a spanning tree; only a failing space is
-    scanned, on its ranks, for its witness.
+    Decided on ranks in O(n^2) by the rank view's spanning tree; only a
+    failing space is scanned, on its ranks, for its witness.
     """
-    ranks = space._view.ranks
-    if _spanning_tree_agrees(ranks):
+    view = space._view
+    if view.ultrametric:
         return TRUE_VERDICT
-    return _first_triple(space, ranks, max, lambda xz, zy, xy: max(xz, zy) < xy)
+    return _first_triple(space, view.ranks, max, lambda xz, zy, xy: max(xz, zy) < xy)
 
 
 def distance_set(space: Space) -> DistanceSet:

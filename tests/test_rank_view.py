@@ -7,6 +7,7 @@ agree exactly.
 """
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -33,12 +34,16 @@ from weaksim import (
     find_weak_similarity,
     is_metric,
     is_ultrametric,
+    max_ultrametric_from_set,
     new_space,
     random_metric,
     random_ultrametric,
     rank_matrix,
     verify,
 )
+from weaksim import spaces as spaces_module
+from weaksim.cli import run
+from weaksim.formats import save_space
 
 EPS = 1e-9
 
@@ -143,6 +148,29 @@ class TestAxiomParity:
         assert is_metric(s).ok
         assert_axioms_match(s)
 
+    def test_float_matrix_symmetric_only_within_tolerance(self):
+        """99.5 and 100 share a rank, so the matrix loads, but it is not
+        exactly symmetric: (b, c, a) offends and its mirror (a, c, b) does
+        not, so the witness has y before x."""
+        s = new_space(
+            ["a", "b", "c"],
+            [[0, 99.5, 58.6], [100, 0, 40], [58.6, 40, 0]],
+            FloatBackend(epsilon=0.01),
+        )
+        assert verdict(is_metric(s)) == (False, ("b", "c", "a"))
+        assert_axioms_match(s)
+
+    @given(seeds, st.integers(3, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_broken_ultrametrics(self, seed, n):
+        """An ultrametric with one late pair lengthened past a two-step
+        path is off the spanning-tree shortcut, and still matches the
+        oracles, under shuffled labels too."""
+        late = late_violation(random_ultrametric(n, seed), seed)
+        assert not is_ultrametric(late).ok and not is_metric(late).ok
+        assert_axioms_match(late)
+        assert_axioms_match(shuffled_labels(late, seed + 1))
+
     @given(seeds, st.integers(3, 6))
     @settings(max_examples=30, deadline=None)
     def test_ambiguous_rankings_fall_back_to_values(self, seed, n):
@@ -180,6 +208,49 @@ class TestAxiomParity:
         with pytest.raises(AmbiguousRanking) as got:
             new_space(["a", "b", "c"], m, FloatBackend(epsilon=EPS))
         assert str(got.value) == str(expected.value)
+
+
+class TestUltrametricShortcut:
+    """A rational ultrametric is a metric: is_metric passes it on the rank
+    view's spanning-tree verdict, which each space computes once."""
+
+    def test_rational_ultrametrics_are_never_scanned(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("a rational ultrametric was scanned")
+
+        monkeypatch.setattr(spaces_module, "_first_triple", scan)
+        for seed in range(6):
+            s = random_ultrametric(48, seed)
+            assert verdict(is_metric(s)) == (True, None)
+            assert verdict(is_metric(shuffled_labels(s, seed))) == (True, None)
+        s = max_ultrametric_from_set([0, 1, F(5, 2), 7, 100])
+        assert verdict(is_metric(s)) == verdict(is_ultrametric(s)) == (True, None)
+
+    def test_one_spanning_tree_per_space(self, monkeypatch, tmp_path):
+        calls = []
+        tree = spaces_module._spanning_tree_agrees
+
+        def counted(ranks):
+            calls.append(ranks)
+            return tree(ranks)
+
+        monkeypatch.setattr(spaces_module, "_spanning_tree_agrees", counted)
+        ultra = random_ultrametric(20, 3)
+        for k, s in enumerate((ultra, random_metric(12, 3), jittered_float(ultra, 3))):
+            path = str(tmp_path / f"s{k}.json")
+            save_space(path, s)
+            calls.clear()
+            assert run(["check", "--in", path, "--metric", "--ultrametric"]) in (0, 1)
+            assert len(calls) == 1
+
+    def test_time_bounds(self):
+        ultra, metric = random_ultrametric(400, 1), random_metric(120, 1)
+        start = time.perf_counter()
+        assert is_metric(ultra).ok and is_ultrametric(ultra).ok
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        assert is_metric(metric).ok
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCoincreasingParity:
