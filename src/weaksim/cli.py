@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Every invocation prints one JSON envelope: a canonical ``report`` section
-(command echo, input digests, results; byte-identical across runs on the
-same inputs) plus a non-canonical ``timing`` section.  Exit codes: 0 for
-success / true verdicts, 1 for false verdicts or absent morphisms, 2 for
-input and usage errors.
+(command echo, input and output digests, results; byte-identical across
+runs on the same inputs) plus a non-canonical ``timing`` section.  Exit
+codes: 0 for success / true verdicts, 1 for false verdicts or absent
+morphisms, 2 for input and usage errors.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ class _Ctx:
         self.inputs[path] = _digest(path)
         return path
 
-    def wrote_output(self, path: str) -> None:
+    def write(self, path: str, save, *args) -> None:
+        """``save(path, *args)``, and the digest of the file it wrote."""
+        save(path, *args)
         self.outputs[path] = _digest(path)
 
     def envelope(self, result: dict, seconds: float) -> dict:
@@ -114,26 +116,52 @@ def _cmd_dset(ctx: _Ctx, args) -> tuple[int, dict]:
     }
 
 
-def _cmd_morph_find(ctx: _Ctx, args) -> tuple[int, dict]:
+def _morphism(ctx: _Ctx, ws, path: str | None) -> dict:
+    """``ws`` verified, written to ``path`` if given, and rendered."""
     from .formats import morphism_to_obj, save_morphism
-    from .morphisms import find_weak_similarity, verify
+    from .morphisms import verify
+
+    ok = verify(ws.source, ws.target, ws.as_map(), ws.scaling).ok
+    if path:
+        ctx.write(path, save_morphism, ws, ok)
+    return morphism_to_obj(ws, ok)
+
+
+def _transformed(ctx: _Ctx, space, image, path: str | None) -> dict:
+    """The result of a transform of ``space`` into ``image``, written to
+    ``path`` if given; a change of backend is warned of first."""
+    from .formats import backend_to_obj, save_space, space_to_obj
+
+    changed = type(image.backend) is not type(space.backend)
+    if changed:
+        print(
+            "warning: result left the rational backend; distances are now "
+            f"floats with epsilon {image.backend.epsilon!r}",
+            file=sys.stderr,
+        )
+    if path:
+        ctx.write(path, save_space, image)
+    return {
+        "backend": backend_to_obj(image.backend),
+        "backend_changed": changed,
+        "space": space_to_obj(image),
+    }
+
+
+def _cmd_morph_find(ctx: _Ctx, args) -> tuple[int, dict]:
+    from .morphisms import find_weak_similarity
 
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
     ws = find_weak_similarity(X, Y)
     if ws is None:
         return 1, {"found": False, "reason": "not weakly equivalent"}
-    verified = verify(X, Y, ws.as_map(), ws.scaling)
-    obj = morphism_to_obj(ws, verified.ok)
-    if args.out:
-        save_morphism(args.out, ws, verified.ok)
-        ctx.wrote_output(args.out)
-    return 0, {"found": True, "morphism": obj}
+    return 0, {"found": True, "morphism": _morphism(ctx, ws, args.out)}
 
 
 def _cmd_morph_enum(ctx: _Ctx, args) -> tuple[int, dict]:
     from .formats import morphism_to_obj
-    from .morphisms import WeakSimilarity, _coset, _coset_holds, _forced_scaling, _solve
+    from .morphisms import WeakSimilarity, _coset, _coset_holds, _solve
 
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
@@ -141,9 +169,8 @@ def _cmd_morph_enum(ctx: _Ctx, args) -> tuple[int, dict]:
     solved = _solve(X, Y, limit)
     if solved is None:
         return 1, {"count": 0, "limit": limit, "morphisms": []}
-    phi, chain, count = solved
+    phi, chain, count, scaling, cls = solved
     # what every map shares, its verdict too: phi and the generators are checked once
-    scaling, cls = _forced_scaling(X, Y)
     shared = morphism_to_obj(WeakSimilarity(X, Y, (), scaling, cls), _coset_holds(X, Y, phi, chain))
     xs, ys = sorted(X.labels), sorted(Y.labels)
 
@@ -212,8 +239,8 @@ def _cmd_morph_verify(ctx: _Ctx, args) -> tuple[int, dict]:
 
 
 def _cmd_morph_factorize(ctx: _Ctx, args) -> tuple[int, dict]:
-    from .formats import load_morphism, morphism_to_obj, save_morphism
-    from .morphisms import compose, factorize, verify
+    from .formats import load_morphism
+    from .morphisms import compose, factorize
 
     X = _load_space(ctx, args.x, args.epsilon)
     Y = _load_space(ctx, args.y, args.epsilon)
@@ -223,56 +250,27 @@ def _cmd_morph_factorize(ctx: _Ctx, args) -> tuple[int, dict]:
     phi1 = load_morphism(path1, X, Y)
     phi2 = load_morphism(path2, X, Y)
     factor = factorize(phi1, phi2)
-    verified = verify(X, X, factor.as_map(), factor.scaling)
     reproduces = compose(factor, phi1).as_map() == phi2.as_map()
-    obj = morphism_to_obj(factor, verified.ok)
-    if args.out:
-        save_morphism(args.out, factor, verified.ok)
-        ctx.wrote_output(args.out)
-    code = 0 if (verified.ok and reproduces) else 1
-    return code, {"factor": obj, "reproduces": reproduces}
+    obj = _morphism(ctx, factor, args.out)
+    return (0 if obj["verified"] and reproduces else 1), {"factor": obj, "reproduces": reproduces}
 
 
 def _cmd_transform_apply(ctx: _Ctx, args) -> tuple[int, dict]:
-    from .formats import backend_to_obj, load_table, save_space, space_to_obj
+    from .formats import load_table
     from .transforms import apply_function
 
     space = _load_space(ctx, args.infile, args.epsilon)
     ctx.read_input(args.table)
     table = load_table(args.table)
-    out = apply_function(space, table)
-    if args.out:
-        save_space(args.out, out)
-        ctx.wrote_output(args.out)
-    return 0, {
-        "backend": backend_to_obj(out.backend),
-        "backend_changed": type(out.backend) is not type(space.backend),
-        "space": space_to_obj(out),
-    }
+    return 0, _transformed(ctx, space, apply_function(space, table), args.out)
 
 
 def _cmd_transform_snowflake(ctx: _Ctx, args) -> tuple[int, dict]:
-    from .formats import backend_to_obj, save_space, space_to_obj
     from .transforms import snowflake
 
     space = _load_space(ctx, args.infile, args.epsilon)
-    out = snowflake(space, args.p)
-    changed = type(out.backend) is not type(space.backend)
-    if changed:
-        print(
-            "warning: result left the rational backend; distances are now "
-            f"floats with epsilon {out.backend.epsilon!r}",
-            file=sys.stderr,
-        )
-    if args.out:
-        save_space(args.out, out)
-        ctx.wrote_output(args.out)
-    return 0, {
-        "exponent": args.p,
-        "backend": backend_to_obj(out.backend),
-        "backend_changed": changed,
-        "space": space_to_obj(out),
-    }
+    image = snowflake(space, args.p)
+    return 0, {"exponent": args.p, **_transformed(ctx, space, image, args.out)}
 
 
 def _cmd_subadditive_check(ctx: _Ctx, args) -> tuple[int, dict]:
@@ -334,8 +332,7 @@ def _cmd_family_gen(ctx: _Ctx, args) -> tuple[int, dict]:
         segment_grid,
         snowflake_segment,
     )
-    from .formats import save_morphism, save_space
-    from .morphisms import verify
+    from .formats import save_space
 
     name = args.name
     out = args.out
@@ -350,14 +347,10 @@ def _cmd_family_gen(ctx: _Ctx, args) -> tuple[int, dict]:
             "y": f"{stem}.y.json",
             "realization": f"{stem}.realization.json",
         }
-        save_space(paths["x"], X)
-        save_space(paths["y"], Y)
-        verified = verify(X, Y, ws.as_map(), ws.scaling)
-        save_morphism(paths["realization"], ws, verified.ok)
-        for p in paths.values():
-            ctx.wrote_output(p)
+        ctx.write(paths["x"], save_space, X)
+        ctx.write(paths["y"], save_space, Y)
         result["files"] = paths
-        result["realization_verified"] = verified.ok
+        result["realization_verified"] = _morphism(ctx, ws, paths["realization"])["verified"]
         return 0, result
     if name == "grid":
         space = segment_grid(args.n, args.length)
@@ -369,8 +362,7 @@ def _cmd_family_gen(ctx: _Ctx, args) -> tuple[int, dict]:
         space = random_ultrametric(args.n, args.seed)
     else:  # pragma: no cover - argparse choices guard this
         raise WeaksimError(f"unknown family {name!r}")
-    save_space(out, space)
-    ctx.wrote_output(out)
+    ctx.write(out, save_space, space)
     result["files"] = {"space": out}
     return 0, result
 

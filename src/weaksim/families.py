@@ -124,18 +124,11 @@ def example_2_6_star(spec: FamilySpec) -> tuple[Space, Space, WeakSimilarity]:
         labels = [
             f"{prefix}{_pad(i, width)}_{j}" for i in range(1, n + 1) for j in (1, 2)
         ]
-        size = 2 * n
-        matrix = [[Fraction(0)] * size for _ in range(size)]
-        for a in range(size):
-            for b in range(size):
-                if a == b:
-                    continue
-                # same pair index iff they differ only in the _1/_2 suffix
-                if labels[a][:-2] == labels[b][:-2]:
-                    i = int(labels[a][len(prefix) : -2])
-                    matrix[a][b] = seq[i - 1]
-                else:
-                    matrix[a][b] = seq[0]
+        # the labels list each pair's two points in turn: point a is in pair a // 2
+        matrix = [
+            [Fraction(0) if a == b else seq[a // 2] if a // 2 == b // 2 else seq[0] for b in range(2 * n)]
+            for a in range(2 * n)
+        ]
         return new_space(labels, matrix, RATIONAL)
 
     X = paired("x", ps)

@@ -733,12 +733,14 @@ def _coset(phi: list[int], chain: list[dict], rows: list[list], count: int) -> I
         maps.append(list(map(h.__getitem__, us[c])))
 
 
-def _solve(X: Space, Y: Space, limit: Optional[int]) -> Optional[tuple[list[int], list[dict], int]]:
+def _solve(X: Space, Y: Space, limit: Optional[int]) -> Optional[tuple]:
     """The first leaf phi of the X -> Y search, Aut(X)'s stabilizer chain
-    (none when limit is 1: phi alone is asked for) and the number of maps
-    to list, min(limit, |Aut(X)|), |Aut(X)| being the product of the basic
-    orbit sizes; None when there is no weak similarity.  phi gives, in X's
-    label order, the place of each point's image in Y's."""
+    (none when limit is 1: phi alone is asked for), the number of maps to
+    list, min(limit, |Aut(X)|), |Aut(X)| being the product of the basic
+    orbit sizes, and the scaling table every map shares, the one increasing
+    bijection from Y's distances to X's, with its class; None when there
+    is no weak similarity.  phi gives, in X's label order, the place of
+    each point's image in Y's."""
     if X.n != Y.n or len(X._view.values) != len(Y._view.values):
         return None
     cells = [(list(range(X.n)), list(range(Y.n)))]
@@ -751,7 +753,9 @@ def _solve(X: Space, Y: Space, limit: Optional[int]) -> Optional[tuple[list[int]
         return None
     chain = [] if limit == 1 else _stabilizer_chain(search, image)
     order = prod(map(len, chain))
-    return search._leaf(image), chain, order if limit is None else min(limit, order)
+    scaling = increasing_bijection(distance_set(Y), distance_set(X))
+    cls = classify_scaling(scaling, X.backend, Y.backend)
+    return search._leaf(image), chain, order if limit is None else min(limit, order), scaling, cls
 
 
 def _coset_holds(X: Space, Y: Space, phi: list[int], chain: list[dict]) -> bool:
@@ -765,12 +769,6 @@ def _coset_holds(X: Space, Y: Space, phi: list[int], chain: list[dict]) -> bool:
         return False
     gens = {id(edge[0]): edge[0] for tree in chain for edge in tree.values() if edge}
     return not any(_rank_disagreement(rkX, rkX, src, [src[b] for b in g]) for g in gens.values())
-
-
-def _forced_scaling(X: Space, Y: Space) -> tuple[ScalingFunction, Classification]:
-    """The one scaling table from Y's distances to X's, and its class."""
-    scaling = increasing_bijection(distance_set(Y), distance_set(X))
-    return scaling, classify_scaling(scaling, X.backend, Y.backend)
 
 
 def build_realization(
@@ -809,8 +807,7 @@ def enumerate_weak_similarities(
     solved = _solve(X, Y, limit)
     if solved is None:
         return []
-    phi, chain, count = solved
-    scaling, cls = _forced_scaling(X, Y)  # one table, one classification
+    phi, chain, count, scaling, cls = solved
     xs, ys = sorted(X.labels), sorted(Y.labels)
     if chain:
         maps = _coset(phi, chain, [list(zip(repeat(x), ys)) for x in xs], count)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -297,6 +298,72 @@ class TestFamilyGen:
         run(["family", "gen", "--name", "random_metric", "--n", "6", "--seed", "3", "--out", out1])
         run(["family", "gen", "--name", "random_metric", "--n", "6", "--seed", "3", "--out", out2])
         assert open(out1).read() == open(out2).read()
+
+
+def written(rep, *paths) -> list:
+    """Check that the report's ``outputs`` names exactly ``paths``, each
+    with the SHA-256 of the file's bytes; return the JSON files' contents."""
+    outputs = rep["report"]["outputs"]
+    assert sorted(outputs) == sorted(paths)
+    loaded = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert outputs[path] == "sha256:" + hashlib.sha256(data).hexdigest()
+        loaded.append(json.loads(data) if path.endswith(".json") else None)
+    return loaded
+
+
+class TestOutputs:
+    """A file a command writes holds what its report shows."""
+
+    @pytest.mark.parametrize("command", ["find", "classify"])
+    def test_found_morphism(self, capsys, files, tmp_path, command):
+        out = str(tmp_path / "m.json")
+        argv = ["morph", command, "--x", files["x"], "--y", files["y"]]
+        _, rep = invoke_json(capsys, *argv)
+        assert "outputs" not in rep["report"]
+        code, rep = invoke_json(capsys, *argv, "--out", out)
+        assert code == 0
+        assert written(rep, out) == [rep["report"]["result"]["morphism"]]
+
+    def test_factor(self, capsys, files, tmp_path):
+        m, out = str(tmp_path / "m.json"), str(tmp_path / "f.json")
+        invoke(capsys, "morph", "find", "--x", files["x"], "--y", files["y"], "--out", m)
+        code, rep = invoke_json(
+            capsys, "morph", "factorize", "--x", files["x"], "--y", files["y"], "--in", m, m, "--out", out
+        )
+        assert code == 0
+        assert written(rep, out) == [rep["report"]["result"]["factor"]]
+
+    def test_float_transforms(self, capsys, files, tmp_path):
+        floats = str(tmp_path / "floats.json")
+        save_space(floats, new_space(["a", "b", "c"], [[0, 1, 2], [1, 0, 3], [2, 3, 0]], FloatBackend()))
+        out = str(tmp_path / "a.json")
+        code, rep = invoke_json(capsys, "transform", "apply", "--in", floats, "--f", files["double"], "--out", out)
+        assert code == 0
+        assert rep["report"]["result"]["backend"] == {"float": {"epsilon": "1e-09"}}
+        assert written(rep, out) == [rep["report"]["result"]["space"]]
+        out = str(tmp_path / "s.json")
+        code, rep = invoke_json(capsys, "transform", "snowflake", "--in", files["x"], "--out", out)
+        assert code == 0
+        assert rep["report"]["result"]["backend_changed"] is True
+        assert written(rep, out) == [rep["report"]["result"]["space"]]
+
+    def test_paired_family(self, capsys, tmp_path):
+        code, rep = invoke_json(capsys, "family", "gen", "--name", "2_6", "--n", "4", "--out", str(tmp_path / "f"))
+        assert code == 0
+        result = rep["report"]["result"]
+        paths = result["files"]
+        realization = written(rep, paths["x"], paths["y"], paths["realization"])[2]
+        assert realization["verified"] is result["realization_verified"] is True
+
+    def test_grid_csv(self, capsys, tmp_path):
+        out = str(tmp_path / "g.csv")
+        code, rep = invoke_json(capsys, "family", "gen", "--name", "grid", "--n", "5", "--out", out)
+        assert code == 0
+        written(rep, out)
+        assert load_space(out) == segment_grid(5, 1)
 
 
 class TestDeterminism:

@@ -682,7 +682,7 @@ def test_stabilizer_chain_is_a_base_and_strong_generating_set(name):
     |Aut(X)|."""
     build, order = CHAIN_CASES[name]
     X, Y = build(), build(seed=7)
-    _, chain, count = _solve(X, Y, None)
+    _, chain, count, _, _ = _solve(X, Y, None)
     assert count == math.prod(map(len, chain)) == order
     src, rkX = _label_order(X), X._view.ranks
     colors = _refine_colors(rkX, Y._view.ranks)[0]
