@@ -135,6 +135,16 @@ class SubadditivityVerdict:
         return self.ok
 
 
+def _least_per_unit(items):
+    """The item of least cost per unit, the first on ties: items come in
+    size order, so the smallest."""
+    best = items[0]
+    for item in items[1:]:
+        if item[1] * best[0] < best[1] * item[0]:
+            best = item
+    return best
+
+
 def _integer_items(positives) -> tuple[list[tuple[int, int]], tuple[int, int], Fraction, int]:
     """(items, star, per_unit, scale): item j is (a_j * per_unit, f(a_j) * scale).
 
@@ -149,7 +159,7 @@ def _integer_items(positives) -> tuple[list[tuple[int, int]], tuple[int, int], F
     scale = lcm(*(v.denominator for _, v in positives))
     costs = [v.numerator * (scale // v.denominator) for _, v in positives]
     items = [(a // unit, c) for a, c in zip(sizes, costs)]
-    star = min(items, key=lambda item: (Fraction(item[1], item[0]), item[0]))
+    star = _least_per_unit(items)
     return items, star, Fraction(den, unit), scale
 
 
@@ -162,20 +172,37 @@ def _cheapest(items, star, need: int, memo: dict) -> int:
     unit among the other items, or one more star if that is less.  No step
     lowers the key (the bound is consistent), so the first node popped
     with nothing left is a cheapest cover, and a need popped once is
-    closed.  Copies of star keep the key, so they are taken all at once: as
-    many as fit, or one when none fits.  A need answered before ends its
-    branch with its answer in memo, and this answer goes there too.  No
-    node is pushed whose key is not below that of a cover already pushed.
-    The work grows with the needs whose key is below the answer, not with
-    the size of the need.
+    closed.  Copies of star keep the key, so they are taken all at once, as
+    many as fit.  A need answered before ends its branch with its answer
+    in memo, and this answer goes there too.  No node is pushed whose key
+    is not below that of a cover already pushed.  The work grows with the
+    needs whose key is below the answer, not with the size of the need.
+
+    A need no larger than star is covered by one copy of star or by the
+    other items alone, so for it star is set aside, and so in turn is each
+    next item of least cost per unit that covers the need alone.  The rest
+    are searched with their own star, whose copies are then taken all at
+    once too; their answers go to a memo of their own, kept in this one
+    under that star.  Otherwise the search would take the small items that
+    cover such a need one copy at a time.
     """
     if need <= 0:
         return 0
     if need in memo:
         return memo[need]
+    if need <= star[0] and len(items) > 1:
+        smaller = [item for item in items if item[0] < need]
+        if not smaller:  # each item alone covers the need
+            memo[need] = min(c for _, c in items)
+            return memo[need]
+        low = a, c = _least_per_unit(smaller)
+        aside = min(c_i for a_i, c_i in items if c_i * a < c * a_i)
+        rest = [item for item in items if not item[1] * a < c * item[0]]
+        memo[need] = min(aside, _cheapest(rest, low, need, memo.setdefault(low, {})))
+        return memo[need]
     a_star, c_star = star
     others = [item for item in items if item != star]
-    a_low, c_low = min(others, key=lambda item: Fraction(item[1], item[0]), default=star)
+    a_low, c_low = _least_per_unit(others or [star])
 
     def key(cost, left):  # times a_low, so that it is an integer
         whole, part = divmod(max(left, 0), a_star)
@@ -194,6 +221,8 @@ def _cheapest(items, star, need: int, memo: dict) -> int:
         closed.add(left)
         if left in memo:
             steps = [(left, memo[left])]
+        elif left <= a_star and others:
+            steps = [(left, _cheapest(items, star, left, memo))]
         else:
             copies = max(left // a_star, 1)
             steps = others + [(copies * a_star, copies * c_star)]
@@ -207,6 +236,9 @@ def _cheapest(items, star, need: int, memo: dict) -> int:
                     bound = k
 
 
+_WITNESS_POINTS = 10_000
+
+
 def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
     """Does x <= sum(x_i) always force f(x) <= sum(f(x_i)) over the domain?
 
@@ -215,7 +247,8 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
     domain points never help a cover, so covers are drawn from the positive
     domain; for x = 0 single elements already settle the question.  The
     cheapest cover of each x is searched in ascending order, with one memo
-    of answers, which the witness walk shares.
+    of answers, which the witness walk shares.  A witness of more than
+    10,000 points raises InputError.
     """
     if not f.entries:
         raise EmptyDomain("the table has no entries")
@@ -241,9 +274,16 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
             # the smallest that starts a cheapest cover, and any cheapest
             # cover of the rest completes it with no smaller item (one would
             # start a cheapest cover of the whole), so the walk repeats that
-            # choice on the rest from the item it took.
+            # choice on the rest from the item it took.  Each step adds one
+            # point, and a cover of tiny points can need astronomically many
+            # (10^400 copies of 10^-400), so the walk has a limit.
             multiset, t, j = [], need, 0
             while t > 0:
+                if len(multiset) == _WITNESS_POINTS:
+                    raise InputError(
+                        f"the cheapest cover of {x} has more than {_WITNESS_POINTS} points, "
+                        "too many to list as a witness"
+                    )
                 best = _cheapest(items, star, t, memo)
                 j = next(
                     i for i in range(j, len(items))

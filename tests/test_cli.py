@@ -256,6 +256,15 @@ class TestSubadditive:
         assert code == 0
         assert rep["report"]["result"] == {"at": "5/3", "value": "2"}
 
+    def test_a_witness_too_long_to_list(self, tmp_path):
+        # f(1/4) exceeds the cost of 10^400 / 4 copies of the free point 10^-400
+        (tmp_path / "t.json").write_text(
+            '{"entries": [["1e-400", "0"], ["1/4", "1/3"], ["1", "1"], ["3/2", "7/5"], ["3", "5/2"]]}'
+        )
+        proc = run_child(tmp_path, "subadditive", "check", "--f", "t.json")
+        assert_input_error(proc)
+        assert "more than 10000 points" in proc.stderr
+
 
 class TestFamilyGen:
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_min_cover, exact_sum_cover_costs
 from weaksim import (
+    InputError,
     check_generalized_subadditivity,
     function_table,
     hull,
@@ -246,4 +247,25 @@ class TestBlowupRegressions:
         # a dense knapsack over every need up to 2^24 units gives the same value
         with shallow_stack_within(0.1):
             assert hull_eval(hull(NEAR_LINEAR), 68563) == 137126
+
+    @pytest.mark.parametrize(
+        "rows,x,expected",
+        [
+            # the cheapest cover of 10^9 is 4 * 10^9 copies of the point 1/4
+            ([(0, 0), ("1/4", "1e-400"), (1, 1), ("3/2", "7/5"), ("1e400", "5/2")], 10**9, F(4 * 10**9, 10**400)),
+            # 666,666,666 copies of 3/2 and one 1
+            ([(0, 0), ("1/4", "1/3"), (1, 1), ("3/2", "7/5"), ("1e400", 10**30)], 10**9, 666_666_666 * F(7, 5) + 1),
+        ],
+    )
+    def test_a_need_below_a_point_of_least_cost_per_unit(self, rows, x, expected):
+        # that point is set aside and the cheapest of the others taken in bulk
+        with shallow_stack_within(0.1):
+            assert hull_eval(hull(function_table(rows)), x) == expected
+
+    @pytest.mark.parametrize("value", ["0", "1e-400"])
+    def test_a_witness_of_astronomically_many_points(self, value):
+        # f(1/4) = 1/3 > 10^400 / 4 copies of 10^-400, which no list holds
+        table = function_table([("1e-400", value), ("1/4", "1/3"), (1, 1), ("3/2", "7/5"), (3, "5/2")])
+        with shallow_stack_within(1.0), pytest.raises(InputError, match="more than 10000 points"):
+            check_generalized_subadditivity(table)
 

@@ -6,10 +6,13 @@ non-increasing domains) and fed to `check`, `transform snowflake`,
 Whatever the input, the CLI exits 0, 1 or 2 without a traceback: 0 and 1
 print a report, 2 prints nothing on stdout and one `error:` line on stderr.
 An exception escaping `run` fails the test, as it would print a traceback.
+A run that takes more than RUN_SECONDS fails it too, rather than stalling
+the suite.
 """
 
 import io
 import json
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -78,10 +81,26 @@ def mutated(draw, base):
     return text
 
 
+RUN_SECONDS = 10
+
+
+class RanTooLong(Exception):
+    """Not an OSError, which `run` would report as an input error."""
+
+
 def run_captured(*argv):
+    def expire(signum, frame):
+        raise RanTooLong(f"{argv} ran for more than {RUN_SECONDS} s")
+
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run(list(argv))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(list(argv))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue()
 
 
