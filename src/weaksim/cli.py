@@ -302,69 +302,43 @@ def _cmd_subadditive_hull_eval(ctx: _Ctx, args) -> tuple[int, dict]:
     return 0, {"at": args.at, "value": str(value)}
 
 
-def _family_metadata(name: str, args) -> dict:
-    meta = {
-        "name": name,
-        "n": args.n,
-        "truncation": "finite truncation of an infinite family",
-    }
-    if name in ("2_6", "2_6_star"):
-        meta["sequences"] = {"r_k": "1/k", "p_k": "1 + 1/k"}
-        meta["declared_limits"] = {"r": "0", "p": "1"}
-    if name in ("random_metric", "random_ultrametric"):
-        meta["seed"] = args.seed
-        meta.pop("truncation")
-    if name == "grid":
-        meta["length"] = args.length
-        meta.pop("truncation")
-    if name == "snowflake":
-        meta["exponent"] = args.p
-    return meta
+# Each family's generator in ``weaksim.families``, the argument it takes
+# after ``--n`` with the key the report echoes it under (None for the
+# paired families, which take their default sequences), and whether it is
+# a finite truncation of an infinite family.
+_FAMILIES = {
+    "2_6": ("example_2_6", None, True),
+    "2_6_star": ("example_2_6_star", None, True),
+    "grid": ("segment_grid", ("length", "length"), False),
+    "snowflake": ("snowflake_segment", ("p", "exponent"), True),
+    "random_metric": ("random_metric", ("seed", "seed"), False),
+    "random_ultrametric": ("random_ultrametric", ("seed", "seed"), False),
+}
 
 
 def _cmd_family_gen(ctx: _Ctx, args) -> tuple[int, dict]:
-    from .families import (
-        FamilySpec,
-        example_2_6,
-        example_2_6_star,
-        random_metric,
-        random_ultrametric,
-        segment_grid,
-        snowflake_segment,
-    )
+    from . import families
     from .formats import save_space
 
-    name = args.name
-    out = args.out
-    result: dict = {"family": _family_metadata(name, args)}
-    if name in ("2_6", "2_6_star"):
-        spec = FamilySpec(name=name, n=args.n)
-        builder = example_2_6 if name == "2_6" else example_2_6_star
-        X, Y, ws = builder(spec)
-        stem = out[: -len(".json")] if out.endswith(".json") else out
-        paths = {
-            "x": f"{stem}.x.json",
-            "y": f"{stem}.y.json",
-            "realization": f"{stem}.realization.json",
-        }
-        ctx.write(paths["x"], save_space, X)
-        ctx.write(paths["y"], save_space, Y)
-        result["files"] = paths
-        result["realization_verified"] = _morphism(ctx, ws, paths["realization"])["verified"]
-        return 0, result
-    if name == "grid":
-        space = segment_grid(args.n, args.length)
-    elif name == "snowflake":
-        space = snowflake_segment(args.n, args.p)
-    elif name == "random_metric":
-        space = random_metric(args.n, args.seed)
-    elif name == "random_ultrametric":
-        space = random_ultrametric(args.n, args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        raise WeaksimError(f"unknown family {name!r}")
-    ctx.write(out, save_space, space)
-    result["files"] = {"space": out}
-    return 0, result
+    generator, argument, truncation = _FAMILIES[args.name]
+    build = getattr(families, generator)
+    family: dict = {"name": args.name, "n": args.n}
+    if truncation:
+        family["truncation"] = "finite truncation of an infinite family"
+    if argument:
+        attr, key = argument
+        family[key] = value = getattr(args, attr)
+        ctx.write(args.out, save_space, build(args.n, value))
+        return 0, {"family": family, "files": {"space": args.out}}
+    family["sequences"] = {"r_k": "1/k", "p_k": "1 + 1/k"}
+    family["declared_limits"] = {"r": "0", "p": "1"}
+    X, Y, ws = build(families.FamilySpec(name=args.name, n=args.n))
+    stem = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
+    paths = {"x": f"{stem}.x.json", "y": f"{stem}.y.json", "realization": f"{stem}.realization.json"}
+    ctx.write(paths["x"], save_space, X)
+    ctx.write(paths["y"], save_space, Y)
+    verified = _morphism(ctx, ws, paths["realization"])["verified"]
+    return 0, {"family": family, "files": paths, "realization_verified": verified}
 
 
 def _text_lines(value, prefix="") -> Iterator[str]:
@@ -503,11 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     family = sub.add_parser("family", help="example-family generators")
     family_sub = family.add_subparsers(dest="subcommand", required=True)
     fgen = family_sub.add_parser("gen", help="generate a family instance")
-    fgen.add_argument(
-        "--name",
-        required=True,
-        choices=["2_6", "2_6_star", "grid", "snowflake", "random_metric", "random_ultrametric"],
-    )
+    fgen.add_argument("--name", required=True, choices=list(_FAMILIES))
     fgen.add_argument("--n", type=int, required=True)
     fgen.add_argument("--seed", type=int, default=0)
     fgen.add_argument("--p", default="1/2", help="snowflake exponent")

@@ -64,50 +64,48 @@ def _sequence(fn: Callable[[int], Fraction], n: int, name: str) -> list[Fraction
     return values
 
 
-def _sequences(spec: FamilySpec) -> tuple[list[Fraction], list[Fraction], int]:
-    """Both sequences of a paired family, and the label width for 0..n."""
+def _sequences(spec: FamilySpec) -> tuple[list[Fraction], list[Fraction]]:
+    """Both sequences of a paired family."""
     if spec.n < 2:
         raise InputError("need n >= 2")
-    return _sequence(spec.r, spec.n, "r"), _sequence(spec.p, spec.n, "p"), len(str(spec.n))
+    return _sequence(spec.r, spec.n, "r"), _sequence(spec.p, spec.n, "p")
 
 
-def _pad(i: int, width: int) -> str:
-    return str(i).zfill(width)
+def _labels(prefix: str, count: int) -> list[str]:
+    """``prefix`` followed by 0..count - 1, zero-padded to one width."""
+    width = len(str(count - 1))
+    return [f"{prefix}{str(i).zfill(width)}" for i in range(count)]
+
+
+def _realization(X: Space, Y: Space, mapping: dict) -> WeakSimilarity:
+    """The realization X -> Y of ``mapping`` with the forced scaling, the one
+    increasing bijection D(Y) -> D(X)."""
+    scaling = increasing_bijection(distance_set(Y), distance_set(X))
+    return build_realization(X, Y, mapping, scaling)
 
 
 def example_2_6(spec: FamilySpec) -> tuple[Space, Space, WeakSimilarity]:
     """Two weakly equivalent ultrametric combs on points 0..n.
 
-    X uses the vanishing sequence, Y the positively-bounded one: the distance
-    between the hub point and point k is the k-th term, between two spoke
-    points the smaller-indexed term.  The realization maps points by index
-    and pairs the k-th terms of the two sequences.
+    X uses the vanishing sequence, Y the positively-bounded one.  Point 0
+    has height 0 and point k the k-th term; two points lie at the larger of
+    their heights, so the hub 0 is at the k-th term from point k, and two
+    spokes at the smaller-indexed term.  The realization maps points by
+    index and pairs the k-th terms of the two sequences.
     """
-    n = spec.n
-    rs, ps, width = _sequences(spec)
+    rs, ps = _sequences(spec)
 
     def comb(prefix: str, seq: list[Fraction]) -> Space:
-        labels = [f"{prefix}{_pad(i, width)}" for i in range(n + 1)]
-        matrix = []
-        for i in range(n + 1):
-            row = []
-            for j in range(n + 1):
-                if i == j:
-                    row.append(Fraction(0))
-                elif min(i, j) == 0:
-                    row.append(seq[max(i, j) - 1])
-                else:
-                    row.append(seq[min(i, j) - 1])
-            matrix.append(row)
-        return new_space(labels, matrix, RATIONAL)
+        heights = [Fraction(0), *seq]
+        matrix = [
+            [Fraction(0) if i == j else max(a, b) for j, b in enumerate(heights)]
+            for i, a in enumerate(heights)
+        ]
+        return new_space(_labels(prefix, len(heights)), matrix, RATIONAL)
 
     X = comb("x", rs)
     Y = comb("y", ps)
-    mapping = {f"x{_pad(i, width)}": f"y{_pad(i, width)}" for i in range(n + 1)}
-    pairs = [(Fraction(0), Fraction(0))]
-    pairs += sorted(zip(ps, rs))
-    scaling = ScalingFunction(tuple(pairs))
-    return X, Y, build_realization(X, Y, mapping, scaling)
+    return X, Y, _realization(X, Y, dict(zip(X.labels, Y.labels)))
 
 
 def example_2_6_star(spec: FamilySpec) -> tuple[Space, Space, WeakSimilarity]:
@@ -117,27 +115,20 @@ def example_2_6_star(spec: FamilySpec) -> tuple[Space, Space, WeakSimilarity]:
     the vanishing one, so the scaling function sends the smallest positive
     target distance to the largest-indexed term.
     """
-    n = spec.n
-    rs, ps, width = _sequences(spec)
+    rs, ps = _sequences(spec)
 
     def paired(prefix: str, seq: list[Fraction]) -> Space:
-        labels = [
-            f"{prefix}{_pad(i, width)}_{j}" for i in range(1, n + 1) for j in (1, 2)
-        ]
+        labels = [f"{lab}_{j}" for lab in _labels(prefix, len(seq) + 1)[1:] for j in (1, 2)]
         # the labels list each pair's two points in turn: point a is in pair a // 2
         matrix = [
-            [Fraction(0) if a == b else seq[a // 2] if a // 2 == b // 2 else seq[0] for b in range(2 * n)]
-            for a in range(2 * n)
+            [Fraction(0) if a == b else seq[a // 2] if a // 2 == b // 2 else seq[0] for b in range(len(labels))]
+            for a in range(len(labels))
         ]
         return new_space(labels, matrix, RATIONAL)
 
     X = paired("x", ps)
     Y = paired("y", rs)
-    mapping = {x_lab: "y" + x_lab[1:] for x_lab in X.labels}
-    pairs = [(Fraction(0), Fraction(0))]
-    pairs += sorted(zip(rs, ps))
-    scaling = ScalingFunction(tuple(pairs))
-    return X, Y, build_realization(X, Y, mapping, scaling)
+    return X, Y, _realization(X, Y, dict(zip(X.labels, Y.labels)))
 
 
 def segment_grid(n: int, length) -> Space:
@@ -148,10 +139,8 @@ def segment_grid(n: int, length) -> Space:
     if length <= 0:
         raise InputError("length must be positive")
     h = length / (n - 1)
-    width = len(str(n - 1))
-    labels = [f"t{_pad(i, width)}" for i in range(n)]
     matrix = [[abs(i - j) * h for j in range(n)] for i in range(n)]
-    return new_space(labels, matrix, RATIONAL)
+    return new_space(_labels("t", n), matrix, RATIONAL)
 
 
 def snowflake_segment(n: int, p) -> Space:
@@ -169,8 +158,6 @@ def random_metric(n: int, seed: int) -> Space:
     if n < 1:
         raise InputError("need n >= 1")
     rng = random.Random(seed)
-    width = len(str(max(n - 1, 1)))
-    labels = [f"v{_pad(i, width)}" for i in range(n)]
     # draws a/b with b in 1..4 are whole multiples of 1/12: relax in twelfths
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -182,7 +169,7 @@ def random_metric(n: int, seed: int) -> Space:
         for i in range(n):
             m[i] = list(map(min, m[i], map(add, repeat(m[i][k]), row_k)))
     twelfths = {v: Fraction(v, 12) for row in m for v in row}
-    return new_space(labels, [[twelfths[v] for v in row] for row in m], RATIONAL)
+    return new_space(_labels("v", n), [[twelfths[v] for v in row] for row in m], RATIONAL)
 
 
 def random_ultrametric(n: int, seed: int) -> Space:
@@ -192,8 +179,6 @@ def random_ultrametric(n: int, seed: int) -> Space:
     if n < 1:
         raise InputError("need n >= 1")
     rng = random.Random(seed)
-    width = len(str(max(n - 1, 1)))
-    labels = [f"v{_pad(i, width)}" for i in range(n)]
     m = [[Fraction(0)] * n for _ in range(n)]
     clusters = [[i] for i in range(n)]
     height = Fraction(0)
@@ -205,7 +190,7 @@ def random_ultrametric(n: int, seed: int) -> Space:
                 m[i][j] = m[j][i] = height
         clusters[a] = clusters[a] + clusters[b]
         del clusters[b]
-    return new_space(labels, m, RATIONAL)
+    return new_space(_labels("v", n), m, RATIONAL)
 
 
 def derive_partner(
@@ -221,6 +206,7 @@ def derive_partner(
     the points per seed; an isometry.  mode "distorted": push the distances
     through a random strictly increasing table; generically not a similarity.
     """
+    mapping = {lab: lab for lab in space.labels}
     if mode == "distorted":
         rng = random.Random(seed)
         values = distance_set(space).values
@@ -231,7 +217,7 @@ def derive_partner(
             rows.append((parse_exact(v), acc))
         table = function_table(rows)
         partner = apply_function(space, table)
-        mapping = {lab: lab for lab in space.labels}
+        # the rows, not the forced table: on a float space they stay exact
         scaling = ScalingFunction(tuple(sorted((fv, a) for a, fv in rows)))
         return partner, build_realization(space, partner, mapping, scaling)
     if mode == "scaled":
@@ -239,7 +225,6 @@ def derive_partner(
         if r <= 0:
             raise InputError("ratio must be positive")
         matrix = [[r * v for v in row] for row in space.matrix]
-        mapping = {lab: lab for lab in space.labels}
     elif mode == "relabeled":
         rng = random.Random(seed)
         perm = list(range(space.n))
@@ -252,5 +237,4 @@ def derive_partner(
     else:
         raise InputError(f"unknown mode {mode!r}")
     partner = new_space(space.labels, matrix, space.backend)
-    scaling = increasing_bijection(distance_set(partner), distance_set(space))
-    return partner, build_realization(space, partner, mapping, scaling)
+    return partner, _realization(space, partner, mapping)

@@ -385,18 +385,20 @@ def apply_function(space: Space, f: FunctionTable) -> Space:
     view = space._view
     backend = space.backend
     exact = isinstance(backend, RationalBackend)
-    table = dict(f.entries)
-    mapped = []
+    # a point too large for a float matches no float distance
+    entries = [e for e in f.entries if exact or e[0] <= _FLOAT_MAX]
+    points = [a if exact else float(a) for a, _ in entries]
+    eq, end = backend.eq, len(points)
+    # The points and the distances both ascend, so one walk finds every
+    # entry: a point a below a distance that it does not match matches no
+    # larger distance w either, as w - a - eps * max(1, w) grows with w.
+    mapped, i = [], 0
     for v in view.values:
-        if exact:
-            hit = table.get(v)
-        else:  # a point too large for a float matches no float distance
-            hit = next(
-                (fa for a, fa in f.entries if a <= _FLOAT_MAX and backend.eq(float(a), v)), None
-            )
-        if hit is None:
+        while i < end and points[i] < v and not eq(points[i], v):
+            i += 1
+        if i == end or not eq(points[i], v):
             raise DomainGap(v)
-        mapped.append(hit)
+        mapped.append(entries[i][1])
     if mapped[0] != 0:
         raise NotPositiveDefinite("the zero distance must map to 0")
     for v in mapped[1:]:

@@ -143,6 +143,11 @@ class TestMorph:
         assert code == 0
         assert rep["report"]["result"]["classification"] == {"similarity": "10"}
 
+    def test_classify_mismatch_exits_1(self, capsys, files):
+        code, rep = invoke_json(capsys, "morph", "classify", "--x", files["x"], "--y", files["eq"])
+        assert code == 1
+        assert rep["report"]["result"] == {"found": False, "reason": "not weakly equivalent"}
+
     def test_verify_roundtrip(self, capsys, files, tmp_path):
         morph_path = str(tmp_path / "m.json")
         code, _ = invoke_json(
@@ -300,6 +305,41 @@ class TestFamilyGen:
             files["realization"],
         )
         assert code2 == 0
+
+    PAIRED = (
+        '"truncation": "finite truncation of an infinite family", '
+        '"sequences": {"r_k": "1/k", "p_k": "1 + 1/k"}, "declared_limits": {"r": "0", "p": "1"}}'
+    )
+    PAIRED_FILES = '{"x": "f.x.json", "y": "f.y.json", "realization": "f.realization.json"}'
+
+    @pytest.mark.parametrize(
+        "argv,family,written",
+        [
+            (["2_6", "--n", "3"], '{"name": "2_6", "n": 3, ' + PAIRED, PAIRED_FILES),
+            (["2_6_star", "--n", "4"], '{"name": "2_6_star", "n": 4, ' + PAIRED, PAIRED_FILES),
+            (["grid", "--n", "3", "--length", "2"], '{"name": "grid", "n": 3, "length": "2"}', '{"space": "f.json"}'),
+            (
+                ["snowflake", "--n", "3", "--p", "1/3"],
+                '{"name": "snowflake", "n": 3, "truncation": "finite truncation of an infinite family", '
+                '"exponent": "1/3"}',
+                '{"space": "f.json"}',
+            ),
+            (["random_metric", "--n", "3", "--seed", "5"], '{"name": "random_metric", "n": 3, "seed": 5}', '{"space": "f.json"}'),
+            (
+                ["random_ultrametric", "--n", "3", "--seed", "5"],
+                '{"name": "random_ultrametric", "n": 3, "seed": 5}',
+                '{"space": "f.json"}',
+            ),
+        ],
+    )
+    def test_family_block_and_files_are_pinned(self, capsys, tmp_path, monkeypatch, argv, family, written):
+        """The report's ``family`` and ``files`` blocks, key order included."""
+        monkeypatch.chdir(tmp_path)
+        code, rep = invoke_json(capsys, "family", "gen", "--name", *argv, "--out", "f.json")
+        assert code == 0
+        result = rep["report"]["result"]
+        assert json.dumps(result["family"]) == family
+        assert json.dumps(result["files"]) == written
 
     def test_generation_is_deterministic(self, capsys, tmp_path):
         out1 = str(tmp_path / "one.json")

@@ -9,6 +9,7 @@ from weaksim import (
     DuplicateLabel,
     DuplicateValue,
     FloatBackend,
+    InputError,
     LabelMismatch,
     NotSemimetric,
     ZeroMissing,
@@ -33,6 +34,13 @@ class TestNewSpace:
         s = new_space(["a", "b"], [[0, 1], [1, 0]])
         assert s.n == 2
         assert s.dist("a", "b") == 1
+
+    def test_unknown_label_refused(self):
+        s = new_space(["a", "b"], [[0, 1], [1, 0]])
+        with pytest.raises(LabelMismatch):
+            s.index("c")
+        with pytest.raises(LabelMismatch):
+            s.dist("a", "c")
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(NotSemimetric) as err:
@@ -177,6 +185,10 @@ class TestMaxUltrametric:
     def test_duplicates(self):
         with pytest.raises(DuplicateValue):
             max_ultrametric_from_set([0, 1, 1])
+
+    def test_negative_value(self):
+        with pytest.raises(InputError):
+            max_ultrametric_from_set([-1, 0, 1])
 
     @given(st.sets(st.fractions(min_value=F(1, 7), max_value=9), max_size=6))
     @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,7 @@ from weaksim import (
     snowflake,
     verify,
 )
+from weaksim.backends import RATIONAL
 from weaksim.morphisms import ScalingFunction
 from weaksim.transforms import _pow_exact
 
@@ -54,6 +56,12 @@ class TestFunctionTable:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             function_table([(0, 0), (1, -1)])
+
+    def test_value_at_a_missing_point(self):
+        table = function_table([(0, 0), (1, 2)])
+        assert table.value_at("1") == 2
+        with pytest.raises(DomainGap):
+            table.value_at(F(1, 2))
 
     def test_builtin_samplers(self):
         assert linear_table([0, 1, 2], F(3, 2)).entries == (
@@ -174,6 +182,18 @@ class TestMetricPreserving:
         assert not v.ok
         assert "positive" in v.reason
 
+    def test_empty_table_refused(self):
+        with pytest.raises(EmptyDomain):
+            is_metric_preserving(function_table([]))
+
+    def test_nonzero_at_zero_fails(self):
+        v = is_metric_preserving(function_table([(0, 1), (1, 2)]))
+        assert (v.ok, v.reason) == (False, "f(0) is not 0")
+
+    def test_decreasing_table_fails(self):
+        v = is_metric_preserving(function_table([(0, 0), (1, 2), (2, 1)]))
+        assert (v.ok, v.reason) == (False, "f is not increasing")
+
 
 class TestApplyFunction:
     def test_doubling_gives_similarity(self):
@@ -233,6 +253,27 @@ class TestApplyFunction:
         s = new_space(["a", "b"], [[0, 1], [1, 0]])
         with pytest.raises(NotPositiveDefinite):
             apply_function(s, function_table([(0, 0), (1, 0)]))
+
+    def test_zero_distance_sent_elsewhere_rejected(self):
+        s = new_space(["a", "b"], [[0, 1], [1, 0]])
+        with pytest.raises(NotPositiveDefinite):
+            apply_function(s, function_table([(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("backend", [FloatBackend(), RATIONAL])
+    def test_one_walk_over_a_large_table(self, backend):
+        # 100 points with 4,951 distinct distances and one entry for each:
+        # a scan of the table per distance took over 20 s on floats
+        n = 100
+        m = [[0.0] * n for _ in range(n)]
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+        for k, (i, j) in enumerate(pairs, 1):
+            m[i][j] = m[j][i] = 1 + k / 8192
+        s = new_space([f"p{i:02d}" for i in range(n)], m, backend)
+        table = function_table([(F(v), 2 * F(v)) for v in distance_set(s).values])
+        start = time.perf_counter()
+        out = apply_function(s, table)
+        assert time.perf_counter() - start < 1.0
+        assert out.matrix == tuple(tuple(2 * v for v in row) for row in s.matrix)
 
     @given(st.integers(0, 3_000), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
