@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import add
 from typing import Callable
 
-from .backends import RATIONAL, parse_exact
+from .backends import RATIONAL, RationalBackend, parse_exact
 from .errors import BadSequence, InputError
 from .morphisms import (
     ScalingFunction,
@@ -25,7 +25,7 @@ from .morphisms import (
     build_realization,
     increasing_bijection,
 )
-from .spaces import Space, distance_set, new_space
+from .spaces import Space, _ranked_space, distance_set, new_space
 from .transforms import apply_function, function_table, snowflake
 
 
@@ -168,8 +168,10 @@ def random_metric(n: int, seed: int) -> Space:
         row_k = m[k]
         for i in range(n):
             m[i] = list(map(min, m[i], map(add, repeat(m[i][k]), row_k)))
-    twelfths = {v: Fraction(v, 12) for row in m for v in row}
-    return new_space(_labels("v", n), [[twelfths[v] for v in row] for row in m], RATIONAL)
+    twelfths = sorted({v for row in m for v in row})
+    rank = {v: r for r, v in enumerate(twelfths)}
+    ranks = tuple(tuple(map(rank.__getitem__, row)) for row in m)
+    return _ranked_space(_labels("v", n), ranks, [Fraction(v, 12) for v in twelfths], RATIONAL)
 
 
 def random_ultrametric(n: int, seed: int) -> Space:
@@ -179,18 +181,18 @@ def random_ultrametric(n: int, seed: int) -> Space:
     if n < 1:
         raise InputError("need n >= 1")
     rng = random.Random(seed)
-    m = [[Fraction(0)] * n for _ in range(n)]
+    ranks = [[0] * n for _ in range(n)]
     clusters = [[i] for i in range(n)]
-    height = Fraction(0)
+    heights = [Fraction(0)]
     while len(clusters) > 1:
-        height += Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        heights.append(heights[-1] + Fraction(rng.randint(1, 8), rng.randint(1, 4)))
         a, b = sorted(rng.sample(range(len(clusters)), 2))
         for i in clusters[a]:
             for j in clusters[b]:
-                m[i][j] = m[j][i] = height
+                ranks[i][j] = ranks[j][i] = len(heights) - 1
         clusters[a] = clusters[a] + clusters[b]
         del clusters[b]
-    return new_space(_labels("v", n), m, RATIONAL)
+    return _ranked_space(_labels("v", n), tuple(map(tuple, ranks)), heights, RATIONAL)
 
 
 def derive_partner(
@@ -220,21 +222,27 @@ def derive_partner(
         # the rows, not the forced table: on a float space they stay exact
         scaling = ScalingFunction(tuple(sorted((fv, a) for a, fv in rows)))
         return partner, build_realization(space, partner, mapping, scaling)
+    exact = isinstance(space.backend, RationalBackend)
+    # a rational partner is built on its source's view: one value per rank
+    rows, values = (space._view.ranks, space._view.values) if exact else (space.matrix, None)
     if mode == "scaled":
         r = parse_exact(ratio)
         if r <= 0:
             raise InputError("ratio must be positive")
-        matrix = [[r * v for v in row] for row in space.matrix]
+        if exact:
+            values = [r * v for v in values]
+        else:
+            rows = [[r * v for v in row] for row in rows]
     elif mode == "relabeled":
         rng = random.Random(seed)
         perm = list(range(space.n))
         rng.shuffle(perm)
-        matrix = [
-            [space.matrix[perm[i]][perm[j]] for j in range(space.n)]
-            for i in range(space.n)
-        ]
+        rows = tuple(tuple(map(row.__getitem__, perm)) for row in map(rows.__getitem__, perm))
         mapping = {space.labels[perm[i]]: space.labels[i] for i in range(space.n)}
     else:
         raise InputError(f"unknown mode {mode!r}")
-    partner = new_space(space.labels, matrix, space.backend)
+    if exact:
+        partner = _ranked_space(space.labels, rows, values, space.backend, checked=True)
+    else:
+        partner = new_space(space.labels, rows, space.backend)
     return partner, _realization(space, partner, mapping)

@@ -70,11 +70,12 @@ def _rows_from_obj(rows, what: str) -> list:
 
 def space_to_obj(space: Space) -> dict:
     fmt = space.backend.format
-    return {
-        "labels": list(space.labels),
-        "backend": backend_to_obj(space.backend),
-        "matrix": [[fmt(v) for v in row] for row in space.matrix],
-    }
+    if isinstance(space.backend, RationalBackend):  # an entry is its rank's value
+        texts = list(map(fmt, space._view.values))
+        matrix = [list(map(texts.__getitem__, row)) for row in space._view.ranks]
+    else:
+        matrix = [[fmt(v) for v in row] for row in space.matrix]
+    return {"labels": list(space.labels), "backend": backend_to_obj(space.backend), "matrix": matrix}
 
 
 def space_from_obj(obj: dict) -> Space:
@@ -115,9 +116,7 @@ def space_to_csv(space: Space) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(space.labels)
-    fmt = space.backend.format
-    for row in space.matrix:
-        writer.writerow([fmt(v) for v in row])
+    writer.writerows(space_to_obj(space)["matrix"])
     return out.getvalue()
 
 

@@ -11,7 +11,8 @@ integer rank matrix, whether those ranks are ultrametric and, for rational
 spaces, the matrix scaled to integers by the common denominator.
 ``new_space`` builds the view in the same pass that parses the entries,
 validates the matrix on its ranks, and refuses a float matrix that cannot
-be ranked unambiguously: every space has a view.
+be ranked unambiguously: every space has a view.  A transform that keeps
+the order of the distances ranks only its values, on its source's view.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Space:
 
     @cached_property
     def _view(self) -> "RankView":
-        return _load(self.labels, self.matrix, self.backend)[1]
+        return _ranked(self.labels, *_load(self.labels, self.matrix, self.backend), self.backend)._view
 
     def index(self, label: str) -> int:
         try:
@@ -100,7 +101,7 @@ class RankMatrix:
 
 @dataclass(frozen=True)
 class RankView:
-    """The order data of one space, built once by :func:`_load`:
+    """The order data of one space, built once by :func:`_ranked`:
     sorted distinct distances (one representative per tolerance group on a
     float space) and the matrix of their indices.  Two distances compare as
     their ranks do."""
@@ -146,10 +147,17 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError("matrix dimensions do not match labels")
-    m, view = _load(labels, matrix, backend)
-    space = Space(labels=labels, matrix=m, backend=backend)
-    space.__dict__["_view"] = view  # fills the cached property
-    return space
+    return _ranked(labels, *_load(labels, matrix, backend), backend)
+
+
+def _ranked_space(labels, ranks, values, backend: Backend, *, checked: bool = False) -> Space:
+    """The space with ``values[r]`` wherever the rank matrix ``ranks`` holds r,
+    for a transform that keeps the order of the distances or a generator
+    that knows its ranks.  Only the k values are ranked and checked, as
+    ``new_space`` would; ``checked`` ranks are a space's view, or one
+    permuted on rows and columns alike."""
+    m = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
+    return _ranked(tuple(labels), m, ranks, values, backend, checked)
 
 
 class _Memo(dict):
@@ -165,20 +173,12 @@ class _Memo(dict):
 
 
 def _load(labels: tuple[str, ...], matrix, backend: Backend):
-    """Coerce, rank and check the entries in one pass: (matrix, rank view).
-
-    A text is keyed by itself and parsed when first seen; any other entry
-    by its coerced value: a (numerator, denominator) pair, which hashes far
-    faster than a Fraction, or the float.  One sort of the distinct values
-    turns their ids into ranks.  The matrix keeps each entry's own value.
-    Float values group where adjacent values compare equal.  A group whose
-    extremes do not, or a rank 0 that is not exactly the values equal to 0,
-    would make the ranks depend on merge order: AmbiguousRanking, raised
-    after the scan for a NotSemimetric witness.
-    """
+    """Coerce the entries in one pass: (matrix, ids, distinct values).  A text
+    is keyed by itself and parsed when first seen; any other entry by its
+    coerced value: a (numerator, denominator) pair, which hashes far faster
+    than a Fraction, or the float.  The matrix keeps each entry's own value."""
     coerce = backend.coerce
-    exact = isinstance(backend, RationalBackend)
-    key = Fraction.as_integer_ratio if exact else float
+    key = Fraction.as_integer_ratio if isinstance(backend, RationalBackend) else float
     ids, reps = {}, []
 
     def entry(v):
@@ -196,7 +196,19 @@ def _load(labels: tuple[str, ...], matrix, backend: Backend):
         values, id_row = zip(*[texts[v] if type(v) is str else entry(v) for v in row])
         m.append(values)
         id_rows.append(id_row)
-    m = tuple(m)
+    return tuple(m), tuple(id_rows), reps
+
+
+def _ranked(labels: tuple[str, ...], m, ids, reps, backend: Backend, checked: bool = False) -> Space:
+    """The space of ``m`` (entry ``reps[i]`` where ``ids`` holds i) with its
+    rank view.  One sort of the values turns ids into ranks, and ``ids`` is
+    the rank matrix itself when each id is its own rank.  Float values group
+    where adjacent values compare equal.  A group whose extremes do not, or a
+    rank 0 that is not exactly the values equal to 0, would make the ranks
+    depend on merge order: AmbiguousRanking, raised after the NotSemimetric
+    scan, which runs when the ranks are not semimetric (on ``checked`` ids,
+    a rank matrix already, when id 0 is not alone at a zero rank 0)."""
+    exact = isinstance(backend, RationalBackend)
     order = sorted(range(len(reps)), key=reps.__getitem__)
     groups = [[order[0]]]
     for i in order[1:]:
@@ -205,14 +217,18 @@ def _load(labels: tuple[str, ...], matrix, backend: Backend):
         else:
             groups.append([i])
     ambiguity = None if exact else _ambiguity(groups, reps, order, backend)
-    rank = {i: r for r, group in enumerate(groups) for i in group}
-    ranks = tuple(tuple(map(rank.__getitem__, row)) for row in id_rows)
-    view = RankView(values=tuple(reps[g[0]] for g in groups), ranks=ranks)
-    if ambiguity or not _ranks_semimetric(view, backend):
+    if groups != [[i] for i in range(len(reps))]:  # some ids merge or move
+        rank = {i: r for r, group in enumerate(groups) for i in group}
+        ids = tuple(tuple(map(rank.__getitem__, row)) for row in ids)
+    view = RankView(values=tuple(reps[g[0]] for g in groups), ranks=ids)
+    zero_alone = groups[0] == [0] and backend.is_zero(reps[0])
+    if ambiguity or not (zero_alone if checked else _ranks_semimetric(view, backend)):
         _scan_semimetric(labels, m, backend)
     if ambiguity:
         raise AmbiguousRanking(ambiguity)
-    return m, view
+    space = Space(labels=labels, matrix=m, backend=backend)
+    space.__dict__["_view"] = view  # fills the cached property
+    return space
 
 
 def _ambiguity(groups, reps, order, backend: Backend) -> Optional[str]:
@@ -271,22 +287,31 @@ def _first_triple(space: Space, m, combine, offends) -> Verdict:
     ``offends(m[x][z], m[z][y], m[x][y])`` holds.
 
     An offence needs m[x][y] > combine(m[x][z], m[z][y]) in plain
-    arithmetic, so each (x, z) first compares two whole rows at once; only
-    row pairs where that holds somewhere are searched point by point.  When
-    ``m`` is exactly symmetric, (x, z, y) offends just when its mirror
-    (y, z, x) does (``combine`` commutes), so the first offence has x
-    before y: the rows are compared, and searched, only from the column
-    after x.
+    arithmetic, and m[z][y] is at least the least entry of row z off its
+    diagonal (``combine`` is monotone).  So (x, z) is passed over when x's
+    largest entry is not above combine(m[x][z], that least entry); else it
+    first compares two whole rows at once, and only row pairs where that
+    holds somewhere are searched point by point.  When ``m`` is exactly
+    symmetric, (x, z, y) offends just when its mirror (y, z, x) does
+    (``combine`` commutes), so the first offence has x before y: the rows
+    are compared, and searched, only from the column after x.
     """
     order = _label_order(space)
     rows = _in_order(m, order)
     mirrored = m == tuple(zip(*m))
+    least = _Memo(lambda z: min(rows[z][:z] + rows[z][z + 1 :]))
     for a, row_a in enumerate(rows):
         start = a + 1 if mirrored else 0
         tail_a = row_a[start:]
+        if not tail_a:
+            continue
+        top = max(tail_a)
         for b, row_b in enumerate(rows):
-            xz, tail_b = row_a[b], row_b[start:]
-            if a == b or not any(map(gt, tail_a, map(combine, repeat(xz), tail_b))):
+            xz = row_a[b]
+            if a == b or top <= combine(xz, least[b]):
+                continue
+            tail_b = row_b[start:]
+            if not any(map(gt, tail_a, map(combine, repeat(xz), tail_b))):
                 continue
             for c, (xy, zy) in enumerate(zip(tail_a, tail_b), start):
                 if c != a and c != b and offends(xz, zy, xy):
@@ -375,12 +400,8 @@ def max_ultrametric_from_set(values, backend: Backend = RATIONAL) -> Space:
         if backend.eq(a, b):
             raise DuplicateValue(f"values {a!r} and {b!r} coincide")
     labels = [backend.format(v) for v in vals]
-    n = len(vals)
-    matrix = [
-        [0 if i == j else max(vals[i], vals[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return new_space(labels, matrix, backend)
+    ranks = tuple(tuple(0 if i == j else max(i, j) for j in range(len(vals))) for i in range(len(vals)))
+    return _ranked_space(labels, ranks, [backend.coerce(0), *vals[1:]], backend)
 
 
 def coincreasing(d: Space, rho: Space) -> Verdict:

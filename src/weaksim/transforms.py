@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefinite,
     NotStrictlyIncreasing,
 )
-from .spaces import Space, new_space
+from .spaces import Space, _ranked_space, new_space
 
 
 @dataclass(frozen=True)
@@ -414,8 +414,7 @@ def apply_function(space: Space, f: FunctionTable) -> Space:
             mapped = [float(v) for v in mapped]
         except OverflowError:
             raise InputError("a table value does not fit a float") from None
-    matrix = [[mapped[r] for r in row] for row in view.ranks]
-    return new_space(space.labels, matrix, backend)
+    return _ranked_space(space.labels, view.ranks, mapped, backend, checked=True)
 
 
 def snowflake(space: Space, p) -> Space:
@@ -432,16 +431,18 @@ def snowflake(space: Space, p) -> Space:
     if p == 1:
         return space
     backend = space.backend
-    if isinstance(backend, RationalBackend):
-        values = space._view.values
-        exact = list(takewhile(lambda pv: pv is not None, (_pow_exact(v, p) for v in values)))
-        if len(exact) == len(values):
-            matrix = [[exact[r] for r in row] for row in space._view.ranks]
-            return new_space(space.labels, matrix, backend)
-        backend = FloatBackend()
+    rational = isinstance(backend, RationalBackend)
+    if rational:
+        view = space._view
+        exact = list(takewhile(lambda pv: pv is not None, (_pow_exact(v, p) for v in view.values)))
+        if len(exact) == len(view.values):
+            return _ranked_space(space.labels, view.ranks, exact, backend, checked=True)
     try:
         fp = float(p)
-        matrix = [[float(v) ** fp for v in row] for row in space.matrix]
+        # a rational rank holds one value; a float entry keeps its own
+        powers = [[float(v) ** fp for v in row] for row in ([view.values] if rational else space.matrix)]
     except OverflowError:
         raise InputError(f"a distance or its power {p} does not fit a float") from None
-    return new_space(space.labels, matrix, backend)
+    if rational:
+        return _ranked_space(space.labels, view.ranks, powers[0], FloatBackend(), checked=True)
+    return new_space(space.labels, powers, backend)

@@ -204,6 +204,23 @@ class TestRandomFamilies:
         save_space(str(path), random_metric(n, seed))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (1, 0, "d3ea344b617645731cda59881c5064605f17308d810838352678ef934d74129d"),
+            (2, 5, "9ab1cb7af0fd9e51d84173b0b19be3fd0d6a2da57b3b327944f4de60bad93624"),
+            (7, 3, "132a0f1987c6d33ed0fe292c6fb6de73e1120de552ec0dbc71822d68e00e7b0a"),
+            (20, 11, "a4e66087a2364c6ba8e8639d23298c5f5df437d72339248e5a9d4de5da0d0c20"),
+            (48, 2024, "f6d281c816f99079288debe115bc5c771e2ca037625589e9bc29378a68034832"),
+        ],
+    )
+    def test_random_ultrametric_files_are_pinned(self, tmp_path, n, seed, digest):
+        # digests of the Fraction merge hierarchy's output: building the
+        # space on its merge ranks must write the same bytes per seed
+        path = tmp_path / "u.json"
+        save_space(str(path), random_ultrametric(n, seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestDerivePartner:
     def test_scaled_two_point_reference(self):

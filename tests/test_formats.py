@@ -33,6 +33,35 @@ RATIONAL_SPACE = new_space(
 )
 
 
+class TestPinnedBytes:
+    """A rational space is written from its distinct values, a float one
+    entry by entry (each keeps its own digits, -0 included): the bytes of
+    both stay as they were when every entry was formatted."""
+
+    RATIONAL = new_space(["b", "a", "c"], [["0", "0.5", 3], ["2/4", 0, F(7, 3)], [3, "14/6", "-0"]])
+    FLOAT = new_space(
+        ["q", "p", "r"], [[0, 1.0, 0.1], [1.0000000001, 0, 2.5], [0.1, "2.5", -0.0]], FloatBackend()
+    )
+
+    def test_rational_json(self):
+        rows = [["0", "1/2", "3"], ["1/2", "0", "7/3"], ["3", "7/3", "0"]]
+        expected = '{\n  "labels": [\n    "b",\n    "a",\n    "c"\n  ],\n  "backend": "rational",\n  "matrix": [\n'
+        expected += ",\n".join("    [\n" + ",\n".join(f'      "{v}"' for v in row) + "\n    ]" for row in rows)
+        assert space_to_json(self.RATIONAL) == expected + "\n  ]\n}\n"
+
+    def test_rational_csv(self):
+        assert space_to_csv(self.RATIONAL) == "b,a,c\n0,1/2,3\n1/2,0,7/3\n3,7/3,0\n"
+
+    def test_float_json(self):
+        rows = [["0", "1", "0.10000000000000001"], ["1.0000000001", "0", "2.5"], ["0.10000000000000001", "2.5", "-0"]]
+        expected = (
+            '{\n  "labels": [\n    "q",\n    "p",\n    "r"\n  ],\n'
+            '  "backend": {\n    "float": {\n      "epsilon": "1e-09"\n    }\n  },\n  "matrix": [\n'
+        )
+        expected += ",\n".join("    [\n" + ",\n".join(f'      "{v}"' for v in row) + "\n    ]" for row in rows)
+        assert space_to_json(self.FLOAT) == expected + "\n  ]\n}\n"
+
+
 class TestSpaceJson:
     def test_rational_roundtrip_is_byte_exact(self):
         text = space_to_json(RATIONAL_SPACE)

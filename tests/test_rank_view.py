@@ -39,6 +39,7 @@ from weaksim import (
     random_metric,
     random_ultrametric,
     rank_matrix,
+    snowflake,
     verify,
 )
 from weaksim import spaces as spaces_module
@@ -106,6 +107,25 @@ def ambiguous_matrix(n, seed):
     m[0][2] = m[2][0] = chain[2]
     m[1][2] = m[2][1] = chain[1]
     return [f"z{k}" for k in range(n)], m
+
+
+def passed_over(space, m, combine):
+    """The pairs (x, z) whose row comparison the triangle scan skips: x's
+    largest entry from the column after x (every column when ``m`` is not
+    symmetric) is no more than combine(d(x, z), the least of z's row off
+    its diagonal), so no y can give m[x][y] > combine(m[x][z], m[z][y])."""
+    n, labels = space.n, space.labels
+    order = sorted(range(n), key=labels.__getitem__)
+    rows = [[m[i][k] for k in order] for i in order]
+    mirrored = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+    least = [min(v for c, v in enumerate(row) if c != b) for b, row in enumerate(rows)]
+    skipped = set()
+    for a, row in enumerate(rows):
+        tail = row[a + 1 :] if mirrored else row
+        for b in range(n):
+            if tail and b != a and max(tail) <= combine(row[b], least[b]):
+                skipped.add((labels[order[a]], labels[order[b]]))
+    return skipped
 
 
 seeds = st.integers(0, 10_000)
@@ -190,6 +210,41 @@ class TestAxiomParity:
         with pytest.raises(NotSemimetric) as got:
             new_space(labels, m, backend)
         assert (got.value.witness, got.value.reason) == (expected.value.witness, expected.value.reason)
+
+    @given(seeds, st.integers(3, 9), st.sampled_from([F(1, 2), F(1, 3), F(2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_row_bound_passes_over_pairs_of_passing_spaces(self, seed, n, p):
+        """Compressed distances leave most rows within one step of each
+        other: the bound skips pairs, and the verdicts still match."""
+        metric = random_metric(n, seed)
+        for space in (metric, snowflake(metric, p), shuffled_labels(snowflake(metric, p), seed)):
+            assert passed_over(space, space.matrix, lambda a, b: a + b)
+            assert_axioms_match(space)
+        ultra = snowflake(random_ultrametric(n, seed), p)
+        assert passed_over(ultra, rank_matrix(ultra).ranks, max)
+        assert_axioms_match(ultra)
+
+    @given(seeds, st.integers(3, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_row_bound_never_passes_over_a_witness(self, seed, n):
+        """On failing spaces the witness's pair (x, z) is one the bound
+        keeps, and the first witness is found as before."""
+        metric = random_metric(n, seed)
+        spaces = (
+            late_violation(metric, seed),
+            shuffled_labels(late_violation(metric, seed), seed + 1),
+            late_violation(random_ultrametric(n, seed), seed),
+            jittered_float(late_violation(metric, seed), seed),
+            random_semimetric(n, seed),
+        )
+        for space in spaces:
+            assert_axioms_match(space)
+            for check, m, combine in (
+                (is_metric, space.matrix, lambda a, b: a + b),
+                (is_ultrametric, rank_matrix(space).ranks, max),
+            ):
+                witness = check(space).witness
+                assert witness is None or witness[:2] not in passed_over(space, m, combine)
 
     @pytest.mark.parametrize(
         "diagonal, d_ab",
