@@ -242,7 +242,7 @@ def derive_partner(
     else:
         raise InputError(f"unknown mode {mode!r}")
     if exact:
-        partner = _ranked_space(space.labels, rows, values, space.backend, checked=True)
+        partner = _ranked_space(space.labels, rows, values, space.backend)
     else:
         partner = new_space(space.labels, rows, space.backend)
     return partner, _realization(space, partner, mapping)

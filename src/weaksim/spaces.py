@@ -150,14 +150,13 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     return _ranked(labels, *_load(labels, matrix, backend), backend)
 
 
-def _ranked_space(labels, ranks, values, backend: Backend, *, checked: bool = False) -> Space:
+def _ranked_space(labels, ranks, values, backend: Backend) -> Space:
     """The space with ``values[r]`` wherever the rank matrix ``ranks`` holds r,
     for a transform that keeps the order of the distances or a generator
     that knows its ranks.  Only the k values are ranked and checked, as
-    ``new_space`` would; ``checked`` ranks are a space's view, or one
-    permuted on rows and columns alike."""
+    ``new_space`` would."""
     m = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
-    return _ranked(tuple(labels), m, ranks, values, backend, checked)
+    return _ranked(tuple(labels), m, ranks, values, backend)
 
 
 class _Memo(dict):
@@ -199,15 +198,14 @@ def _load(labels: tuple[str, ...], matrix, backend: Backend):
     return tuple(m), tuple(id_rows), reps
 
 
-def _ranked(labels: tuple[str, ...], m, ids, reps, backend: Backend, checked: bool = False) -> Space:
+def _ranked(labels: tuple[str, ...], m, ids, reps, backend: Backend) -> Space:
     """The space of ``m`` (entry ``reps[i]`` where ``ids`` holds i) with its
     rank view.  One sort of the values turns ids into ranks, and ``ids`` is
     the rank matrix itself when each id is its own rank.  Float values group
     where adjacent values compare equal.  A group whose extremes do not, or a
     rank 0 that is not exactly the values equal to 0, would make the ranks
     depend on merge order: AmbiguousRanking, raised after the NotSemimetric
-    scan, which runs when the ranks are not semimetric (on ``checked`` ids,
-    a rank matrix already, when id 0 is not alone at a zero rank 0)."""
+    scan, which runs when the ranks are not semimetric."""
     exact = isinstance(backend, RationalBackend)
     order = sorted(range(len(reps)), key=reps.__getitem__)
     groups = [[order[0]]]
@@ -221,8 +219,7 @@ def _ranked(labels: tuple[str, ...], m, ids, reps, backend: Backend, checked: bo
         rank = {i: r for r, group in enumerate(groups) for i in group}
         ids = tuple(tuple(map(rank.__getitem__, row)) for row in ids)
     view = RankView(values=tuple(reps[g[0]] for g in groups), ranks=ids)
-    zero_alone = groups[0] == [0] and backend.is_zero(reps[0])
-    if ambiguity or not (zero_alone if checked else _ranks_semimetric(view, backend)):
+    if ambiguity or not _ranks_semimetric(view, backend):
         _scan_semimetric(labels, m, backend)
     if ambiguity:
         raise AmbiguousRanking(ambiguity)

@@ -414,7 +414,7 @@ def apply_function(space: Space, f: FunctionTable) -> Space:
             mapped = [float(v) for v in mapped]
         except OverflowError:
             raise InputError("a table value does not fit a float") from None
-    return _ranked_space(space.labels, view.ranks, mapped, backend, checked=True)
+    return _ranked_space(space.labels, view.ranks, mapped, backend)
 
 
 def snowflake(space: Space, p) -> Space:
@@ -431,18 +431,21 @@ def snowflake(space: Space, p) -> Space:
     if p == 1:
         return space
     backend = space.backend
-    rational = isinstance(backend, RationalBackend)
-    if rational:
+    if isinstance(backend, RationalBackend):
+        # a rational rank holds one value, so only the k values are raised
         view = space._view
-        exact = list(takewhile(lambda pv: pv is not None, (_pow_exact(v, p) for v in view.values)))
-        if len(exact) == len(view.values):
-            return _ranked_space(space.labels, view.ranks, exact, backend, checked=True)
+        values = list(takewhile(lambda pv: pv is not None, (_pow_exact(v, p) for v in view.values)))
+        if len(values) < len(view.values):
+            try:
+                fp = float(p)
+                values = [float(v) ** fp for v in view.values]
+            except OverflowError:
+                raise InputError(f"a distance or its power {p} does not fit a float") from None
+            backend = FloatBackend()
+        return _ranked_space(space.labels, view.ranks, values, backend)
     try:
         fp = float(p)
-        # a rational rank holds one value; a float entry keeps its own
-        powers = [[float(v) ** fp for v in row] for row in ([view.values] if rational else space.matrix)]
+        matrix = [[float(v) ** fp for v in row] for row in space.matrix]
     except OverflowError:
         raise InputError(f"a distance or its power {p} does not fit a float") from None
-    if rational:
-        return _ranked_space(space.labels, view.ranks, powers[0], FloatBackend(), checked=True)
-    return new_space(space.labels, powers, backend)
+    return new_space(space.labels, matrix, backend)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import scan_new_space
 from weaksim import (
     RATIONAL,
+    CardinalityMismatch,
     FloatBackend,
     InputError,
     WeaksimError,
@@ -142,6 +143,7 @@ def full(s):
 @example(case=(new_space("abc", [[0, 1, 1 + F(1, 10**20)], [1, 0, 1], [1 + F(1, 10**20), 1, 0]]), "snowflake", F(1, 2)))
 @example(case=(FLOAT_CHAIN, "apply", function_table([(0, 0), (1, 1), (2, 1 + F(6, 10**10)), (3, 1 + F(12, 10**10))])))
 @example(case=(FLOAT_CHAIN, "apply", function_table([(0, 0), (1, 1), (2, 1 + F(1, 10**18)), (3, 2)])))
+@example(case=(new_space("edc", [[0, 1 + 1e-10, 1 + 1e-10], [1 + 1e-10, 0, 2], [1 + 1e-10, 2, 0]], FloatBackend()), "scaled", F(1, 10**9)))
 @settings(max_examples=400, deadline=None)
 def test_derived_spaces_match_new_space_on_the_written_matrix(case):
     space, mode, arg = case
@@ -153,6 +155,10 @@ def test_derived_spaces_match_new_space_on_the_written_matrix(case):
         expected = outcome(new_space, space.labels, matrix, backend)
         expected_scan = outcome(scan_new_space, space.labels, matrix, backend)
     got = outcome(derived, space, mode, arg)
+    if got[0] is CardinalityMismatch and not isinstance(expected[0], type):
+        # a float partner whose scaled distances merge has no realization
+        assert mode == "scaled" and len(distance_set(new_space(space.labels, matrix, backend))) < len(distance_set(space))
+        return
     assert got == expected == expected_scan
     if isinstance(got[0], type):
         return
