@@ -28,11 +28,11 @@ DEFAULT_EPSILON = 1e-9
 def parse_exact(text) -> Fraction:
     """Parse ``"p/q"``, a decimal string, or a number into an exact rational.
 
-    Decimal strings convert exactly (``"0.1"`` becomes 1/10, not the nearest
-    binary float).  A decimal exponent whose power of ten has more digits
-    than Python prints (``sys.get_int_max_str_digits()``) is refused before
-    the power is computed, which for a short text like ``"1e99999999"``
-    would take minutes.
+    A plain ASCII ``p`` or ``p/q`` is read by ``int``, any other text by
+    ``Fraction``: ``"0.1"`` becomes 1/10, not the nearest binary float.  An
+    exponent whose power of ten has more digits than Python prints
+    (``sys.get_int_max_str_digits()``) is refused before the power is
+    computed, which for a short text like ``"1e99999999"`` takes minutes.
     """
     if isinstance(text, Fraction):
         return text
@@ -40,6 +40,9 @@ def parse_exact(text) -> Fraction:
         if isinstance(text, (int, float)):
             return Fraction(text)
         text = str(text).strip()
+        num, slash, den = text.partition("/")
+        if text.isascii() and (num[1:] if num[:1] in "+-" else num).isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         exponent = ("e" in text or "E" in text) and re.search(r"[eE]([-+]?\d[\d_]*)$", text)
         limit = exponent and (getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf)
         if not exponent or abs(int(exponent[1])) < limit:

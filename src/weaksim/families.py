@@ -13,12 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 from typing import Callable
 
 from .backends import RATIONAL, RationalBackend, parse_exact
-from .errors import BadSequence, InputError
+from .errors import BadSequence, CardinalityMismatch, InputError
 from .morphisms import (
     ScalingFunction,
     WeakSimilarity,
@@ -245,4 +245,9 @@ def derive_partner(
         partner = _ranked_space(space.labels, rows, values, space.backend)
     else:
         partner = new_space(space.labels, rows, space.backend)
+        if len(partner._view.values) < len(space._view.values):  # scaled floats merged within tolerance
+            rank = dict(zip(chain.from_iterable(space._view.ranks), chain.from_iterable(partner._view.ranks)))
+            a = next(a for a in range(1, len(rank)) if rank[a] == rank[a - 1])
+            eps, (lo, hi) = space.backend.epsilon, map(space.backend.format, space._view.values[a - 1 : a + 1])
+            raise CardinalityMismatch(f"ratio {r} merges the distances {lo} and {hi} within epsilon {eps!r}")
     return partner, _realization(space, partner, mapping)

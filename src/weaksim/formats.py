@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Union
 
 from .backends import (
@@ -60,11 +61,10 @@ def _rows_from_obj(rows, what: str) -> list:
     """
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError(f"{what} must be an array of arrays")
-    for row in rows:
-        bad = _JSON_TYPES.keys() & map(type, row)
-        if bad:
-            names = ", ".join(sorted(_JSON_TYPES[t] for t in bad))
-            raise FormatError(f"{what} must hold numbers or strings, not {names}")
+    if not _JSON_TYPES.keys().isdisjoint(set(map(type, chain.from_iterable(rows)))):
+        bad = next(filter(None, (_JSON_TYPES.keys() & map(type, row) for row in rows)))
+        names = ", ".join(sorted(_JSON_TYPES[t] for t in bad))
+        raise FormatError(f"{what} must hold numbers or strings, not {names}")
     return rows
 
 

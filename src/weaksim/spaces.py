@@ -9,10 +9,11 @@ Every question that depends only on the order of the distances reads one
 rank view per space, cached on the space: the sorted distinct distances, the
 integer rank matrix, whether those ranks are ultrametric and, for rational
 spaces, the matrix scaled to integers by the common denominator.
-``new_space`` builds the view in the same pass that parses the entries,
-validates the matrix on its ranks, and refuses a float matrix that cannot
-be ranked unambiguously: every space has a view.  A transform that keeps
-the order of the distances ranks only its values, on its source's view.
+``new_space`` builds the view with C-level passes over the n^2 entries, one
+coercion per distinct entry and one O(k log k) sort on integer keys; it
+validates the matrix on its ranks and refuses a float matrix that cannot be
+ranked unambiguously: every space has a view.  A transform that keeps the
+order of the distances ranks only its values, on its source's view.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat, takewhile
-from operator import add, gt, le, lt, ne
+from itertools import chain, repeat, takewhile
+from operator import add, gt, itemgetter, le, lt, ne
 from typing import Optional, Sequence
 
 from .backends import RATIONAL, Backend, RationalBackend, Value
@@ -69,7 +70,7 @@ class Space:
 
     @cached_property
     def _view(self) -> "RankView":
-        return _ranked(self.labels, *_load(self.labels, self.matrix, self.backend), self.backend)._view
+        return _load(self.labels, self.matrix, self.backend)._view
 
     def index(self, label: str) -> int:
         try:
@@ -139,24 +140,20 @@ def new_space(labels: Sequence[str], matrix, backend: Backend = RATIONAL) -> Spa
     if len(labels) == 0:
         raise InputError("a space needs at least one point")
     if len(set(labels)) != len(labels):
-        seen = set()
-        for lab in labels:
-            if lab in seen:
-                raise DuplicateLabel(f"duplicate label {lab!r}")
-            seen.add(lab)
-    n = len(labels)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise DuplicateLabel(f"duplicate label {next(b for a, b in enumerate(labels) if b in labels[:a])!r}")
+    if len(matrix) != len(labels) or any(len(row) != len(labels) for row in matrix):
         raise InputError("matrix dimensions do not match labels")
-    return _ranked(labels, *_load(labels, matrix, backend), backend)
+    return _load(labels, matrix, backend)
 
 
 def _ranked_space(labels, ranks, values, backend: Backend) -> Space:
     """The space with ``values[r]`` wherever the rank matrix ``ranks`` holds r,
     for a transform that keeps the order of the distances or a generator
     that knows its ranks.  Only the k values are ranked and checked, as
-    ``new_space`` would."""
-    m = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
-    return _ranked(tuple(labels), m, ranks, values, backend)
+    ``new_space`` would; the view keeps ``ranks`` unless some values merge."""
+    rows = _rows(ranks)
+    rank_rows = lambda rank: ranks if rank == list(range(len(rank))) else rows(rank)
+    return _ranked(tuple(labels), rows(values), values, backend, rank_rows)
 
 
 class _Memo(dict):
@@ -171,54 +168,58 @@ class _Memo(dict):
         return value
 
 
-def _load(labels: tuple[str, ...], matrix, backend: Backend):
-    """Coerce the entries in one pass: (matrix, ids, distinct values).  A text
-    is keyed by itself and parsed when first seen; any other entry by its
-    coerced value: a (numerator, denominator) pair, which hashes far faster
-    than a Fraction, or the float.  The matrix keeps each entry's own value."""
-    coerce = backend.coerce
-    key = Fraction.as_integer_ratio if isinstance(backend, RationalBackend) else float
-    ids, reps = {}, []
-
-    def entry(v):
-        value = coerce(v)
-        k = key(value)
-        i = ids.get(k)
-        if i is None:
-            i = ids[k] = len(reps)
-            reps.append(value)
-        return value, i
-
-    texts = _Memo(entry)
-    m, id_rows = [], []
-    for row in matrix:
-        values, id_row = zip(*[texts[v] if type(v) is str else entry(v) for v in row])
-        m.append(values)
-        id_rows.append(id_row)
-    return tuple(m), tuple(id_rows), reps
+def _rows(matrix):
+    """``rows(table)``: ``matrix`` with each entry looked up in ``table``, one
+    C-level ``itemgetter`` per row (a one-entry row gets a 1-tuple getter)."""
+    getters = [itemgetter(*row) if len(row) > 1 else lambda table, key=row[0]: (table[key],) for row in matrix]
+    return lambda table: tuple(get(table) for get in getters)
 
 
-def _ranked(labels: tuple[str, ...], m, ids, reps, backend: Backend) -> Space:
-    """The space of ``m`` (entry ``reps[i]`` where ``ids`` holds i) with its
-    rank view.  One sort of the values turns ids into ranks, and ``ids`` is
-    the rank matrix itself when each id is its own rank.  Float values group
-    where adjacent values compare equal.  A group whose extremes do not, or a
-    rank 0 that is not exactly the values equal to 0, would make the ranks
-    depend on merge order: AmbiguousRanking, raised after the NotSemimetric
-    scan, which runs when the ranks are not semimetric."""
+def _load(labels: tuple[str, ...], matrix, backend: Backend) -> Space:
+    """The space of ``matrix`` with its rank view.  One pass collects the
+    distinct entries in row-major order and each is coerced once, so the
+    first bad entry raises first and equal texts share one value; one lookup
+    per row writes the values, one the ranks.  A Fraction hashes in Python,
+    so a first row holding one (or an unhashable entry) sends the matrix
+    through ``coerce`` entry by entry.  0 and -0.0 share a key, so on a float
+    space a zero, which only the diagonal holds, is coerced from its entry."""
+    coerce, exact = backend.coerce, isinstance(backend, RationalBackend)
+    try:
+        entries = None if Fraction in map(type, matrix[0]) else dict.fromkeys(chain.from_iterable(matrix))
+    except TypeError:  # an unhashable entry
+        entries = None
+    if entries is None:  # coerce entry by entry, in order; key a rational by its ratio, which hashes in C
+        key, coerce = (Fraction.as_integer_ratio, lambda r: Fraction(*r)) if exact else (float, coerce)
+        matrix = [list(map(key, map(backend.coerce, row))) for row in matrix]
+        entries = dict.fromkeys(chain.from_iterable(matrix))
+    values, rows = list(map(coerce, entries)), _rows(matrix)
+    m = rows(dict(zip(entries, values)))
+    if 0 in entries and not exact:  # a number 0 on the diagonal keeps its own sign
+        rows_in = enumerate(zip(m, matrix))
+        m = tuple(r if type(d[i]) is str else (*r[:i], coerce(d[i]), *r[i + 1 :]) for i, (r, d) in rows_in)
+    return _ranked(labels, m, values, backend, lambda rank: rows(dict(zip(entries, rank))))
+
+
+def _ranked(labels: tuple[str, ...], m, values, backend: Backend, rank_rows) -> Space:
+    """The space of ``m`` with its rank view; ``rank_rows`` writes the rank
+    matrix from the ranks of ``values``, sorted once: a rational by floor(v *
+    2^64), then by v, which only values closer than 2^-64 compare.  Equal
+    values share a rank; floats group where adjacent values compare equal.
+    A group whose extremes do not, or a rank 0 that is not exactly the values
+    equal to 0, would make the ranks depend on merge order: AmbiguousRanking,
+    raised after the NotSemimetric scan, run when the ranks are not semimetric."""
     exact = isinstance(backend, RationalBackend)
-    order = sorted(range(len(reps)), key=reps.__getitem__)
-    groups = [[order[0]]]
+    keys = [((v.numerator << 64) // v.denominator, v) for v in values] if exact else values
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    groups, rank = [[order[0]]], [0] * len(values)
     for i in order[1:]:
-        if not exact and backend.eq(reps[groups[-1][-1]], reps[i]):
+        if backend.eq(keys[groups[-1][-1]], keys[i]):
             groups[-1].append(i)
         else:
             groups.append([i])
-    ambiguity = None if exact else _ambiguity(groups, reps, order, backend)
-    if groups != [[i] for i in range(len(reps))]:  # some ids merge or move
-        rank = {i: r for r, group in enumerate(groups) for i in group}
-        ids = tuple(tuple(map(rank.__getitem__, row)) for row in ids)
-    view = RankView(values=tuple(reps[g[0]] for g in groups), ranks=ids)
+        rank[i] = len(groups) - 1
+    ambiguity = None if exact else _ambiguity(groups, values, order, backend)
+    view = RankView(values=tuple(values[g[0]] for g in groups), ranks=rank_rows(rank))
     if ambiguity or not _ranks_semimetric(view, backend):
         _scan_semimetric(labels, m, backend)
     if ambiguity:

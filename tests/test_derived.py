@@ -8,6 +8,7 @@ keeps its source's order, it must reuse the source's rank tuples."""
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from weaksim import (
     rank_matrix,
     snowflake,
 )
+from weaksim import families
 from weaksim.transforms import _pow_exact
 
 D = F(15, 10**10)  # 1.5e-9: 1, 1 + D, 1 + 2D chain within 1e-9 once square-rooted
@@ -158,6 +160,7 @@ def test_derived_spaces_match_new_space_on_the_written_matrix(case):
     if got[0] is CardinalityMismatch and not isinstance(expected[0], type):
         # a float partner whose scaled distances merge has no realization
         assert mode == "scaled" and len(distance_set(new_space(space.labels, matrix, backend))) < len(distance_set(space))
+        assert got[3].startswith(f"ratio {arg} merges the distances ") and got[3].endswith(" within epsilon 1e-09")
         return
     assert got == expected == expected_scan
     if isinstance(got[0], type):
@@ -167,6 +170,18 @@ def test_derived_spaces_match_new_space_on_the_written_matrix(case):
     keeps_order = mode == "apply" or (mode in ("snowflake", "scaled") and space.backend is RATIONAL)
     if keeps_order and len(distance_set(new)) == len(distance_set(space)):
         assert new._view.ranks is space._view.ranks
+
+
+def test_a_float_partner_whose_scaled_distances_merge_names_them(monkeypatch):
+    space = new_space("edc", [[0, 1 + 1e-10, 1 + 1e-10], [1 + 1e-10, 0, 2], [1 + 1e-10, 2, 0]], FloatBackend())
+
+    def realization(*args):
+        raise AssertionError("built the realization")
+
+    monkeypatch.setattr(families, "_realization", realization)
+    with pytest.raises(CardinalityMismatch) as exc:
+        derive_partner(space, "scaled", ratio=F(1, 10**9))
+    assert str(exc.value) == "ratio 1/1000000000 merges the distances 1.0000000001 and 2 within epsilon 1e-09"
 
 
 def test_generators_and_partners_keep_their_views_consistent():

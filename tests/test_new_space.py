@@ -3,11 +3,12 @@ case on whole rows; it must build the same space, or raise the same error,
 as coercing every entry and scanning the pairs in label order."""
 
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import rank_view, scan_new_space
@@ -18,6 +19,7 @@ from weaksim import (
     RationalBackend,
     WeaksimError,
     new_space,
+    parse_exact,
     random_ultrametric,
 )
 from weaksim import spaces
@@ -31,6 +33,13 @@ RATIONAL_VALUES = [
     ["3", " 3 ", "6/2", "3.0", 3],
     ["1e-3", "0.001", "1/1000", F(1, 1000)],
     ["7/3", "14/6", F(7, 3)],
+    # closer than 2^-64 to each other: the sort's integer keys tie
+    ["1/3", "2/6", F(1, 3)],
+    [F(1, 3) + F(1, 10**30), f"{10**30 + 3}/{3 * 10**30}"],
+    # far past the float range either way
+    ["1e-400", F(1, 10**400)],
+    ["1e400", 10**400, F(10**400)],
+    ["1e401", f"{10**401}", F(10**401)],
 ]
 FLOAT_VALUES = [
     ["0.5", "5e-1", " 0.5 ", 0.5, F(1, 2)],
@@ -38,11 +47,20 @@ FLOAT_VALUES = [
     ["1e-3", "0.001"],
     ["1", "1.0000000001", 1.0],  # equal within the tolerance only
 ]
-RATIONAL_ZEROS = ["0", "-0", "0/5", "0.0", " 0 ", 0, F(0)]
-FLOAT_ZEROS = ["0", "-0", "0.0", " 0 ", "1e-12", 0, 0.0]
+RATIONAL_ZEROS = ["0", "-0", "0/5", "0.0", " 0 ", 0, F(0), 0.0, -0.0]
+FLOAT_ZEROS = ["0", "-0", "0.0", " 0 ", "1e-12", 0, 0.0, -0.0, F(0)]
 NOT_POSITIVE = ["-1", "0", "-0", "-1/3", "1e-12", -2]  # 1e-12 is 0 within tolerance
 STRAY = ["5", "2.5", "1/3", F(5, 7)]  # no spelling above has these values
 LABELS = ["b", "e", "a", "f", "c", "d"]
+# An unhashable entry, alone, after a bad one, or with a Fraction in the
+# first row (which coerces entry by entry): the first bad entry raises.
+UNHASHABLE = [
+    [[0, [1]], [[1], 0]],
+    [[0, "1"], [[1], 0]],
+    [["x", [1]], [[1], 0]],
+    [[[1], "1"], ["1", 0]],
+    [[0, F(1, 2)], [[1], 0]],
+]
 
 
 @st.composite
@@ -58,8 +76,10 @@ def matrices(draw, values, zeros):
             m[j][i] = draw(st.sampled_from(spellings))
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        kind = draw(st.sampled_from(["diagonal", "asymmetric", "not_positive"]))
-        if kind == "diagonal":
+        kind = draw(st.sampled_from(["diagonal", "asymmetric", "not_positive", "unhashable"]))
+        if kind == "unhashable":
+            m[i][j] = [1]
+        elif kind == "diagonal":
             m[i][i] = draw(st.sampled_from(STRAY))
         elif i != j and kind == "asymmetric":
             m[i][j] = draw(st.sampled_from(STRAY))
@@ -77,13 +97,64 @@ def outcome(build, labels, matrix, backend):
 
 
 @given(case=matrices(RATIONAL_VALUES, RATIONAL_ZEROS))
+@example(case=(["a", "b"], UNHASHABLE[0]))
+@example(case=(["a", "b"], UNHASHABLE[1]))
+@example(case=(["a", "b"], UNHASHABLE[2]))
+@example(case=(["a", "b"], UNHASHABLE[3]))
+@example(case=(["a", "b"], UNHASHABLE[4]))
 @settings(max_examples=400, deadline=None)
 def test_rational_parity_with_the_scan(case):
     labels, matrix = case
-    assert outcome(new_space, labels, matrix, RATIONAL) == outcome(scan_new_space, labels, matrix, RATIONAL)
+    got = outcome(new_space, labels, matrix, RATIONAL)
+    assert got == outcome(scan_new_space, labels, matrix, RATIONAL)
+    if not isinstance(got[0], type):  # and the sort ranks values closer than 2^-64 apart
+        assert vars(got[0])["_view"] == RankView(*rank_view(got[0].matrix))
+
+
+# Characters of exact numbers and of near misses: ASCII and Arabic-Indic
+# digits, the fraction bar, signs, digit separators, decimal points,
+# exponents and spaces.
+NUMBER_CHARS = list("0123456789٠١٢٣٤٥٦٧٨٩/+-_.eE ")
+
+
+def fraction_or_message(text):
+    """What ``parse_exact`` must give: ``Fraction`` of the stripped text, or
+    the InputError message for a text ``Fraction`` refuses."""
+    text = text.strip()
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return f"not an exact number: {text!r}"
+
+
+@given(text=st.text(st.sampled_from(NUMBER_CHARS), max_size=12))
+@example(text="00012/0004")
+@example(text="1/0")
+@example(text="3/-4")
+@example(text="1_000")
+@example(text="٣/٤")
+@example(text=" -7/21 ")
+@example(text="+5")
+@example(text="1" * 5000)  # past the 4,300-digit limit of int(), where Python has one
+@example(text="7/" + "3" * 5000)
+@settings(max_examples=600, deadline=None)
+def test_parse_exact_gives_what_fraction_gives(text):
+    # an exponent of four digits or more may pass the print limit, which
+    # parse_exact refuses before Fraction would build the power
+    assume(not re.search(r"[eE][-+]?\d[\d_]{3,}", text))
+    try:
+        got = parse_exact(text)
+    except InputError as exc:
+        got = str(exc)
+    assert got == fraction_or_message(text)
 
 
 @given(case=matrices(FLOAT_VALUES, FLOAT_ZEROS))
+@example(case=(["a", "b"], UNHASHABLE[0]))
+@example(case=(["a", "b"], UNHASHABLE[1]))
+@example(case=(["a", "b"], UNHASHABLE[2]))
+@example(case=(["a", "b"], UNHASHABLE[3]))
+@example(case=(["a", "b"], UNHASHABLE[4]))
 @settings(max_examples=400, deadline=None)
 def test_float_parity_with_the_scan(case):
     labels, matrix = case
@@ -170,7 +241,15 @@ def valid_cases(draw):
     return LABELS[:n], m, backend
 
 
+def mixed_zeros(backend):
+    """Zeros of every spelling on the diagonal, 0 and -0.0 among them."""
+    zeros, half = [0, 0.0, -0.0, F(0), "0", "-0", " 0.0 "], "1/2" if backend is RATIONAL else "0.5"
+    return list("abcdefg"), [[zero if i == j else half for j in range(7)] for i, zero in enumerate(zeros)], backend
+
+
 @given(case=valid_cases())
+@example(case=mixed_zeros(RATIONAL))
+@example(case=mixed_zeros(FloatBackend(epsilon=1e-9)))
 @settings(max_examples=300, deadline=None)
 def test_the_cached_view_is_the_sorted_distinct_values(case):
     labels, matrix, backend = case
