@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 from .errors import InputError
@@ -23,6 +23,69 @@ from .errors import InputError
 Value = Union[Fraction, float]
 
 DEFAULT_EPSILON = 1e-9
+
+
+class _Record:
+    """Base of the frozen value types, in place of a frozen dataclass: the
+    annotations, bases' first, are the fields and class attributes their
+    defaults.  Construction, ``__post_init__``, ``==``, ``hash``, ``repr``
+    and refused assignment behave as on the dataclass; ``cached_property``
+    keeps its value in the instance ``__dict__``."""
+
+    def __init_subclass__(cls):
+        names = tuple(dict.fromkeys(k for c in cls.__mro__[::-1] for k in c.__dict__.get("__annotations__", ())))
+        defaults = tuple(getattr(cls, k, _MISSING) for k in names)
+        n, fewest = len(names), defaults.count(_MISSING)
+        slots, post = tuple(enumerate(names)), getattr(cls, "__post_init__", None)
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != n:
+                args = args + defaults[len(args) :] if not kwargs and fewest <= len(args) < n else _bind(cls, args, kwargs)
+            if n > 1:  # one dict pass costs less than a call per field
+                d = self.__dict__
+                for i, k in slots:
+                    d[k] = args[i]
+            elif n:  # as a dataclass does: the compact layout keeps reads and method calls fast
+                _setattr(self, names[0], args[0])
+            if post is not None:
+                post(self)
+
+        key = attrgetter(*names) if n > 1 else lambda self: tuple(getattr(self, k) for k in names)
+        cls.__init__, cls._fields, cls._defaults, cls._key = __init__, names, defaults, staticmethod(key)
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._key(self)))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_MISSING, _setattr = object(), object.__setattr__
+
+
+def _bind(cls, args, kwargs) -> tuple:
+    """The fields of a call with keywords or missing fields, or Python's TypeError."""
+    where, names, defaults = f"{cls.__qualname__}.__init__()", cls._fields, cls._defaults
+    values, low, high = dict(zip(names, args)), defaults.count(_MISSING) + 1, len(names) + 1
+    if len(args) >= high:
+        takes = f"from {low} to {high} positional arguments" if low < high else f"{high} positional argument{'s' * (high > 1)}"
+        raise TypeError(f"{where} takes {takes} but {len(args) + 1} were given")
+    for key in kwargs:
+        if key in values or key not in names:
+            raise TypeError(f"{where} got {'multiple values for' if key in values else 'an unexpected keyword'} argument {key!r}")
+    if missing := [repr(k) for k, d in zip(names, defaults) if d is _MISSING and k not in values and k not in kwargs]:
+        listed = f"{', '.join(missing[:-1])}{',' * (len(missing) > 2)} and {missing[-1]}" if missing[1:] else missing[0]
+        raise TypeError(f"{where} missing {len(missing)} required positional argument{'s' * (len(missing) > 1)}: {listed}")
+    return tuple(map({**values, **kwargs}.get, names, defaults))
 
 
 def parse_exact(text) -> Fraction:
@@ -52,8 +115,7 @@ def parse_exact(text) -> Fraction:
     raise InputError(f"exponent past the {limit}-digit print limit: {text!r}")
 
 
-@dataclass(frozen=True)
-class RationalBackend:
+class RationalBackend(_Record):
     """Exact rational values; comparisons are exact."""
 
     kind = "rational"
@@ -74,8 +136,7 @@ class RationalBackend:
         return str(v)
 
 
-@dataclass(frozen=True)
-class FloatBackend:
+class FloatBackend(_Record):
     """Float values; two values are equal iff |a-b| <= eps*max(1,|a|,|b|).
 
     The tolerance must be a finite positive number (any number but a bool;

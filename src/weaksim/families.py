@@ -11,13 +11,12 @@ ultrametrics), which makes them usable as test oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
 from typing import Callable
 
-from .backends import RATIONAL, RationalBackend, parse_exact
+from .backends import RATIONAL, RationalBackend, _Record, parse_exact
 from .errors import BadSequence, CardinalityMismatch, InputError
 from .morphisms import (
     ScalingFunction,
@@ -39,8 +38,7 @@ def one_plus_harmonic(k: int) -> Fraction:
     return 1 + Fraction(1, k)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """Parameters for the paired families.
 
     The sequence callables must be strictly decreasing and positive on

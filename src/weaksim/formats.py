@@ -13,6 +13,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Union
 
 from .backends import (
@@ -46,7 +47,7 @@ def backend_from_obj(obj) -> Backend:
                 eps = float(eps)
             except ValueError:
                 raise FormatError(f"epsilon is not a number: {eps!r}") from None
-        return FloatBackend(epsilon=eps)
+        return FloatBackend(eps)
     raise FormatError(f"unknown backend {obj!r}")
 
 
@@ -68,14 +69,18 @@ def _rows_from_obj(rows, what: str) -> list:
     return rows
 
 
-def space_to_obj(space: Space) -> dict:
+def _text_rows(space: Space, wrap=str) -> list:
+    """The matrix as rows of ``wrap(text)``; a rational entry is its rank's
+    value, each formatted and wrapped once."""
     fmt = space.backend.format
-    if isinstance(space.backend, RationalBackend):  # an entry is its rank's value
-        texts = list(map(fmt, space._view.values))
-        matrix = [list(map(texts.__getitem__, row)) for row in space._view.ranks]
-    else:
-        matrix = [[fmt(v) for v in row] for row in space.matrix]
-    return {"labels": list(space.labels), "backend": backend_to_obj(space.backend), "matrix": matrix}
+    if isinstance(space.backend, RationalBackend):
+        texts = [wrap(fmt(v)) for v in space._view.values]
+        return [list(map(texts.__getitem__, row)) for row in space._view.ranks]
+    return [[wrap(fmt(v)) for v in row] for row in space.matrix]
+
+
+def space_to_obj(space: Space) -> dict:
+    return {"labels": list(space.labels), "backend": backend_to_obj(space.backend), "matrix": _text_rows(space)}
 
 
 def space_from_obj(obj: dict) -> Space:
@@ -101,7 +106,13 @@ def _parse_json(text: str):
 
 
 def space_to_json(space: Space) -> str:
-    return json.dumps(space_to_obj(space), indent=2) + "\n"
+    """``json.dumps(space_to_obj(space), indent=2)`` and a newline, laid out
+    by hand around texts that the C string encoder writes."""
+    enc = encode_basestring_ascii
+    labels = ",\n    ".join(map(enc, space.labels))
+    backend = json.dumps(backend_to_obj(space.backend), indent=2).replace("\n", "\n  ")
+    matrix = ",\n    ".join(["[\n      " + ",\n      ".join(row) + "\n    ]" for row in _text_rows(space, enc)])
+    return f'{{\n  "labels": [\n    {labels}\n  ],\n  "backend": {backend},\n  "matrix": [\n    {matrix}\n  ]\n}}\n'
 
 
 def space_from_json(text: str) -> Space:
@@ -130,7 +141,7 @@ def space_from_csv(text: str, epsilon: Optional[float] = None) -> Space:
     matrix = [[cell.strip() for cell in row] for row in rows[1:]]
     if len(matrix) != len(labels):
         raise FormatError("CSV matrix does not match the header size")
-    backend = RATIONAL if epsilon is None else FloatBackend(epsilon=epsilon)
+    backend = RATIONAL if epsilon is None else FloatBackend(epsilon)
     return new_space(labels, matrix, backend)
 
 

@@ -32,14 +32,13 @@ from __future__ import annotations
 import copy
 import operator
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import pairwise, repeat
 from math import prod
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .backends import Backend, FloatBackend, Value
+from .backends import Backend, FloatBackend, Value, _Record
 from .errors import (
     CardinalityMismatch,
     DomainMismatch,
@@ -48,6 +47,7 @@ from .errors import (
 )
 from .spaces import (
     DistanceSet,
+    TRUE_VERDICT,
     Space,
     Verdict,
     _label_order,
@@ -60,8 +60,7 @@ DEFAULT_ENUM_LIMIT = 10_000
 MappingLike = Union[Mapping[str, str], Iterable[tuple[str, str]]]
 
 
-@dataclass(frozen=True)
-class ScalingFunction:
+class ScalingFunction(_Record):
     """Finite strictly increasing bijection table between two distance sets.
 
     ``pairs`` holds (t, f_t) sorted by t; t ranges over the target's distance
@@ -71,11 +70,12 @@ class ScalingFunction:
     pairs: tuple[tuple[Value, Value], ...]
 
     def __post_init__(self):
-        if not self.pairs:
+        pairs = self.pairs
+        if not pairs:
             raise DomainMismatch("a scaling table cannot be empty")
-        if self.pairs[0][0] != 0 or self.pairs[0][1] != 0:
+        if pairs[0][0] != 0 or pairs[0][1] != 0:
             raise DomainMismatch("a scaling table must map 0 to 0")
-        for (t1, v1), (t2, v2) in zip(self.pairs, self.pairs[1:]):
+        for (t1, v1), (t2, v2) in pairwise(pairs):
             if not (t1 < t2 and v1 < v2):
                 raise DomainMismatch(
                     "scaling table entries must be strictly increasing "
@@ -103,8 +103,7 @@ class ScalingFunction:
         return ScalingFunction(tuple(sorted((v, t) for t, v in self.pairs)))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Isometry, similarity with a ratio, or generic weak similarity."""
 
     kind: str  # "isometry" | "similarity" | "generic"
@@ -123,8 +122,7 @@ class Classification:
         return Classification("generic", None)
 
 
-@dataclass(frozen=True)
-class WeakSimilarity:
+class WeakSimilarity(_Record):
     """A point bijection, its scaling table and the table's class.  It is
     not checked on construction: :func:`verify` checks the defining
     identity.  Those that :func:`find_weak_similarity` and
@@ -192,7 +190,7 @@ def verify(
     order = _label_order(X)
     image = [Y.index(m[X.labels[i]]) for i in order]
     bad = _rank_disagreement(X._view.ranks, Y._view.ranks, order, image)
-    return Verdict(True) if bad is None else Verdict(False, (X.labels[bad[0]], X.labels[bad[1]]))
+    return TRUE_VERDICT if bad is None else Verdict(False, (X.labels[bad[0]], X.labels[bad[1]]))
 
 
 def _rank_disagreement(rkX, rkY, order: list[int], image: list[int]) -> Optional[tuple[int, int]]:
@@ -781,9 +779,7 @@ def build_realization(
     """
     pairs = tuple(sorted(_normalize_mapping(mapping, X, Y).items()))
     cls = classify_scaling(scaling, X.backend, Y.backend)
-    return WeakSimilarity(
-        source=X, target=Y, mapping=pairs, scaling=scaling, classification=cls
-    )
+    return WeakSimilarity(X, Y, pairs, scaling, cls)
 
 
 def find_weak_similarity(X: Space, Y: Space) -> Optional[WeakSimilarity]:

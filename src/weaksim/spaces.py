@@ -19,14 +19,13 @@ order of the distances ranks only its values, on its source's view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat, takewhile
 from operator import add, gt, itemgetter, le, lt, ne
 from typing import Optional, Sequence
 
-from .backends import RATIONAL, Backend, RationalBackend, Value
+from .backends import RATIONAL, Backend, RationalBackend, Value, _Record
 from .errors import (
     AmbiguousRanking,
     DuplicateLabel,
@@ -38,8 +37,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of an axiom check; failing verdicts carry a label witness."""
 
     ok: bool
@@ -52,8 +50,7 @@ class Verdict:
 TRUE_VERDICT = Verdict(True)
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(_Record):
     """A finite semimetric space. Immutable; build via :func:`new_space`."""
 
     labels: tuple[str, ...]
@@ -82,8 +79,7 @@ class Space:
         return self.matrix[self.index(a)][self.index(b)]
 
 
-@dataclass(frozen=True)
-class DistanceSet:
+class DistanceSet(_Record):
     """Strictly increasing distinct distances of a space; 0 comes first."""
 
     values: tuple[Value, ...]
@@ -93,15 +89,13 @@ class DistanceSet:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(_Record):
     """Each distance replaced by its index in the sorted distance set."""
 
     ranks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class RankView:
+class RankView(_Record):
     """The order data of one space, built once by :func:`_ranked`:
     sorted distinct distances (one representative per tolerance group on a
     float space) and the matrix of their indices.  Two distances compare as
@@ -219,12 +213,12 @@ def _ranked(labels: tuple[str, ...], m, values, backend: Backend, rank_rows) -> 
             groups.append([i])
         rank[i] = len(groups) - 1
     ambiguity = None if exact else _ambiguity(groups, values, order, backend)
-    view = RankView(values=tuple(values[g[0]] for g in groups), ranks=rank_rows(rank))
+    view = RankView(tuple(values[g[0]] for g in groups), rank_rows(rank))
     if ambiguity or not _ranks_semimetric(view, backend):
         _scan_semimetric(labels, m, backend)
     if ambiguity:
         raise AmbiguousRanking(ambiguity)
-    space = Space(labels=labels, matrix=m, backend=backend)
+    space = Space(labels, m, backend)
     space.__dict__["_view"] = view  # fills the cached property
     return space
 
@@ -375,12 +369,12 @@ def is_ultrametric(space: Space) -> Verdict:
 
 def distance_set(space: Space) -> DistanceSet:
     """All distinct distances of the space, sorted ascending (0 included)."""
-    return DistanceSet(values=space._view.values, backend=space.backend)
+    return DistanceSet(space._view.values, space.backend)
 
 
 def rank_matrix(space: Space) -> RankMatrix:
     """Matrix of distance ranks; rank 0 is the diagonal zero."""
-    return RankMatrix(ranks=space._view.ranks)
+    return RankMatrix(space._view.ranks)
 
 
 def max_ultrametric_from_set(values, backend: Backend = RATIONAL) -> Space:

@@ -12,14 +12,13 @@ of a need, which visits only the needs that price below the answer.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import takewhile
 from math import ceil, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-from .backends import FloatBackend, RationalBackend, parse_exact
+from .backends import FloatBackend, RationalBackend, _Record, parse_exact
 from .errors import (
     DomainGap,
     EmptyDomain,
@@ -33,8 +32,7 @@ from .errors import (
 from .spaces import Space, _ranked_space, new_space
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(_Record):
     """Finite f: A -> R+ with strictly increasing domain points."""
 
     entries: tuple[tuple[Fraction, Fraction], ...]
@@ -121,8 +119,7 @@ def _pow_exact(value: Fraction, p: Fraction) -> Optional[Fraction]:
     return Fraction(root_n**num, root_d**num)
 
 
-@dataclass(frozen=True)
-class SubadditivityVerdict:
+class SubadditivityVerdict(_Record):
     """True, or a witness x and multiset with f(x) > sum of f over the multiset."""
 
     ok: bool
@@ -260,9 +257,7 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
             if fa < f0 and (best is None or fa < best[1]):
                 best = (a, fa)
         if best is not None:
-            return SubadditivityVerdict(
-                False, x=Fraction(0), multiset=(best[0],), lhs=f0, rhs=best[1]
-            )
+            return SubadditivityVerdict(False, Fraction(0), (best[0],), f0, best[1])
     if not positives:
         return SubadditivityVerdict(True)
     items, star, _, scale = _integer_items(positives)
@@ -291,14 +286,11 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
                 )
                 multiset.append(positives[j][0])
                 t -= items[j][0]
-            return SubadditivityVerdict(
-                False, x=x, multiset=tuple(multiset), lhs=fx, rhs=Fraction(cheapest, scale)
-            )
+            return SubadditivityVerdict(False, x, tuple(multiset), fx, Fraction(cheapest, scale))
     return SubadditivityVerdict(True)
 
 
-@dataclass(frozen=True)
-class SubadditiveHull:
+class SubadditiveHull(_Record):
     """Increasing subadditive extension of a table, by minimum cover cost."""
 
     base: FunctionTable
@@ -314,7 +306,7 @@ def hull(f: FunctionTable) -> SubadditiveHull:
     for a, v in positives:
         if v == 0:
             raise NotPositiveDefinite(f"f({a}) must be positive")
-    return SubadditiveHull(base=f)
+    return SubadditiveHull(f)
 
 
 def hull_eval(h: SubadditiveHull, x) -> Fraction:
@@ -342,8 +334,7 @@ def hull_eval(h: SubadditiveHull, x) -> Fraction:
     return Fraction(cheapest + periods * c_star, scale)
 
 
-@dataclass(frozen=True)
-class MetricPreservingVerdict:
+class MetricPreservingVerdict(_Record):
     ok: bool
     reason: Optional[str] = None
     violation: Optional[SubadditivityVerdict] = None

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from weaksim.formats import (
     space_from_json,
     space_to_csv,
     space_to_json,
+    space_to_obj,
     table_from_obj,
     table_to_obj,
 )
@@ -63,6 +65,21 @@ class TestPinnedBytes:
 
 
 class TestSpaceJson:
+    @pytest.mark.parametrize(
+        "space",
+        [
+            new_space(["only"], [[0]]),
+            new_space(["only"], [["0"]], FloatBackend(1e-6)),
+            new_space(['say "hi"', "back\\slash", "caf\u00e9 \u2713", "\ud800", "tab\t"], [[abs(i - j) for j in range(5)] for i in range(5)]),
+            new_space(["\ud800", "x"], [[0, 0.1], [0.1, 0]], FloatBackend()),
+            RATIONAL_SPACE,
+            snowflake(RATIONAL_SPACE, F(1, 2)),
+        ],
+        ids=["one-point", "one-point-float", "escaped-labels", "escaped-float", "rational", "snowflake"],
+    )
+    def test_json_is_the_indented_dump_of_the_space_object(self, space):
+        assert space_to_json(space) == json.dumps(space_to_obj(space), indent=2) + "\n"
+
     def test_rational_roundtrip_is_byte_exact(self):
         text = space_to_json(RATIONAL_SPACE)
         again = space_to_json(space_from_json(text))
