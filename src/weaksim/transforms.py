@@ -163,51 +163,52 @@ def _integer_items(positives) -> tuple[list[tuple[int, int]], tuple[int, int], F
 def _cheapest(items, star, need: int, memo: dict) -> int:
     """Least cost of a multiset of items whose sizes sum to at least need.
 
-    A best-first (A*) search over the need left.  A node's key is its cost
-    plus a lower bound on covering the need left: whole copies of star for
-    each multiple of its size, then the rest priced at the least cost per
-    unit among the other items, or one more star if that is less.  No step
-    lowers the key (the bound is consistent), so the first node popped
-    with nothing left is a cheapest cover, and a need popped once is
-    closed.  Copies of star keep the key, so they are taken all at once, as
-    many as fit.  A need answered before ends its branch with its answer
-    in memo, and this answer goes there too.  No node is pushed whose key
-    is not below that of a cover already pushed.  The work grows with the
-    needs whose key is below the answer, not with the size of the need.
-
-    A need no larger than star is covered by one copy of star or by the
-    other items alone, so for it star is set aside, and so in turn is each
-    next item of least cost per unit that covers the need alone.  The rest
-    are searched with their own star, whose copies are then taken all at
-    once too; their answers go to a memo of their own, kept in this one
-    under that star.  Otherwise the search would take the small items that
-    cover such a need one copy at a time.
+    A best-first (A*) search over the need left, keyed by cost plus the
+    cheapest relaxed cover of the need left (Martello and Toth, Knapsack
+    Problems, 1990, ch. 3): whole copies of star, fewer than none allowed;
+    whole copies of second, the next item by cost per unit, at its cost up
+    to one more than fit in star and at star's rate past that; the rest at
+    third's cost per unit, the next.  No step costs less than it lowers
+    that bound, so the first node popped with nothing left is a cheapest
+    cover, and a need popped once is closed.  A need in memo ends its
+    branch; answers go there.  No node is pushed unless its key is below
+    that of every cover pushed.  Steps take each item but star once, and
+    star, second and third as many times as fit.  The bound is priced once
+    per residue mod star, as a copy of star moves it by its cost.
     """
-    if need <= 0:
-        return 0
-    if need in memo:
-        return memo[need]
-    if need <= star[0] and len(items) > 1:
-        smaller = [item for item in items if item[0] < need]
-        if not smaller:  # each item alone covers the need
-            memo[need] = min(c for _, c in items)
-            return memo[need]
-        low = a, c = _least_per_unit(smaller)
-        aside = min(c_i for a_i, c_i in items if c_i * a < c * a_i)
-        rest = [item for item in items if not item[1] * a < c * item[0]]
-        memo[need] = min(aside, _cheapest(rest, low, need, memo.setdefault(low, {})))
-        return memo[need]
+    if need <= 0 or need in memo:
+        return memo.get(need, 0)
     a_star, c_star = star
     others = [item for item in items if item != star]
-    a_low, c_low = _least_per_unit(others or [star])
+    a2, c2 = second = _least_per_unit(others or [star])
+    rest = [item for item in others if item != second]
+    a3, c3 = third = _least_per_unit(rest) if rest else (1, c_star)  # no third: what is left costs a star
+    bulk, unit, g, excesses = [second, third][: len(others)], a_star * a3, gcd(a_star, a2), {}
+    rate, copies = a3 * c_star, min(a_star // g, a_star // a2 + 1)  # of second at its cost; more at star's rate
+    extra, dear = c2 * unit - a2 * rate, a_star * c3 - rate  # a copy of second, a unit of third above star's rate
 
-    def key(cost, left):  # times a_low, so that it is an integer
-        whole, part = divmod(max(left, 0), a_star)
-        return (cost + whole * c_star) * a_low + min(part * c_low, c_star * a_low)
+    def over(s):  # s left over, by third or one more star, above star's rate, times unit
+        return min(s * dear, (a_star - s) * rate)
+
+    def excess(r):  # the bound of r < a_star above star's rate, times unit
+        # up to r // a2 copies of second leave star's count at 0, then at -1;
+        # the price is concave along each run, so only their ends are priced
+        ends = {0, r // a2, r // a2 + 1, copies - 1}
+        least = min(j * extra + over((r - j * a2) % a_star) for j in ends if j < copies)
+        if copies * extra < least:  # then more copies, at star's rate, may leave less
+            least = min(least, copies * extra + min(over(r % g), over(a_star - g + r % g)))
+        return least
+
+    def key(cost, left):  # times unit, so that it is an integer
+        if left <= 0:
+            return cost * unit
+        if (part := left % a_star) not in excesses:
+            excesses[part] = excess(part)
+        return cost * unit + left * rate + excesses[part]
 
     alone = -(-need // a_star) * c_star  # copies of star alone
-    bound = alone * a_low  # the least key of a cover pushed so far
-    heap, closed = [(key(0, need), need, 0), (bound, 0, alone)], set()
+    bound = alone * unit  # the least key of a cover pushed so far
+    heap, closed = [(0, need, 0), (bound, 0, alone)], set()  # the root needs no bound
     while True:
         _, left, cost = heappop(heap)
         if left <= 0:
@@ -218,16 +219,11 @@ def _cheapest(items, star, need: int, memo: dict) -> int:
         closed.add(left)
         if left in memo:
             steps = [(left, memo[left])]
-        elif left <= a_star and others:
-            steps = [(left, _cheapest(items, star, left, memo))]
         else:
-            copies = max(left // a_star, 1)
-            steps = others + [(copies * a_star, copies * c_star)]
+            n = max(left // a_star, 1)
+            steps = others + [(m * a, m * c) for a, c in bulk if (m := left // a) > 1] + [(n * a_star, n * c_star)]
         for a, c in steps:
-            if left - a in closed:
-                continue
-            k = key(cost + c, left - a)
-            if k < bound:
+            if left - a not in closed and (k := key(cost + c, left - a)) < bound:
                 heappush(heap, (k, left - a, cost + c))
                 if left - a <= 0:
                     bound = k

@@ -3,19 +3,22 @@
 Verdicts (x, multiset, lhs, rhs) and hull values are compared with the
 brute-force cover oracle, with the search's memo of answers filled row-wise
 before each need and with a fresh memo for every need, and large covers with
-a knapsack over exact sums.
+a knapsack over exact sums; the search alone with a dense row of every need.
 Deep, large, wide and near-linear covers run under a recursion limit just
-above the current stack depth, with a time bound.
+above the current stack depth, with a time bound, and one of them also with
+a memory bound; no function in `transforms` calls itself.
 """
 
+import ast
 import inspect
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_min_cover, exact_sum_cover_costs
@@ -147,6 +150,22 @@ class TestOracleParity:
         for x in xs:
             assert hull_eval(h, x) == expected[x]
 
+    @given(
+        st.lists(st.tuples(st.integers(1, 60), st.integers(0, 100)), min_size=1, max_size=5, unique_by=lambda e: e[0]),
+        st.integers(1, 150),
+    )
+    @example([(1, 55), (7, 10), (38, 27)], 123)  # two 7s cover 10 for less than one 38
+    @settings(max_examples=300, deadline=None)
+    def test_search_matches_a_dense_row_on_spread_sizes(self, items, need):
+        # sizes far apart, so the copies of the second-best item per unit
+        # that the bound prices leave different counts of the best one
+        items = sorted(items)
+        star = transforms._least_per_unit(items)
+        best = [0] * (need + 1)
+        for t in range(1, need + 1):
+            best[t] = min(c + best[max(t - a, 0)] for a, c in items)
+        assert [transforms._cheapest(items, star, t, {}) for t in range(1, need + 1)] == best[1:]
+
 
 class TestDeepAndLargeCovers:
     def test_cover_one_thousand_steps_deep(self):
@@ -225,6 +244,12 @@ class TestWideTables:
 NEAR_LINEAR = function_table(
     [(0, 0), ("31/7", "62/7"), ("39/8", "39/4"), ("123/2", "3076/25"), ("511/2", "12776/25"), ("1469/3", "146903/150")]
 )
+# A random table (seed 8301, table 91 of an ad hoc script): its five small
+# points cost within 0.4 % of each other per unit.
+NEAR_LINEAR_WIDE = function_table(
+    [(0, 0), ("6/373", "19/690"), ("20/417", "76/923"), ("71/737", "25/151"), ("28/207", "135/583"),
+     ("67/315", "310/849"), ("170/3", "86497/893")]
+)
 
 
 class TestBlowupRegressions:
@@ -248,6 +273,20 @@ class TestBlowupRegressions:
         with shallow_stack_within(0.1):
             assert hull_eval(hull(NEAR_LINEAR), 68563) == 137126
 
+    def test_a_near_linear_hull_past_its_period_start(self):
+        # about 70,000 needs price below the answer, so none may start a
+        # search of its own
+        h, x = hull(NEAR_LINEAR_WIDE), F(186544976525734008389409530393, 2098450433286900000)
+        with shallow_stack_within(5.0):
+            assert hull_eval(h, x) == F(8327280057893805, 54802)
+        tracemalloc.start()
+        try:
+            hull_eval(h, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # 22 MB
+
     @pytest.mark.parametrize(
         "rows,x,expected",
         [
@@ -255,10 +294,13 @@ class TestBlowupRegressions:
             ([(0, 0), ("1/4", "1e-400"), (1, 1), ("3/2", "7/5"), ("1e400", "5/2")], 10**9, F(4 * 10**9, 10**400)),
             # 666,666,666 copies of 3/2 and one 1
             ([(0, 0), ("1/4", "1/3"), (1, 1), ("3/2", "7/5"), ("1e400", 10**30)], 10**9, 666_666_666 * F(7, 5) + 1),
+            # 333,333,333 copies of 3 and one 1; 10^-400 costs as little per unit as 1
+            ([(0, 0), ("1e-400", "1e-400"), ("1/4", "1/3"), (1, 1), ("3/2", "7/5"), (3, "5/2")], 10**9, F(1666666667, 2)),
         ],
     )
     def test_a_need_below_a_point_of_least_cost_per_unit(self, rows, x, expected):
-        # that point is set aside and the cheapest of the others taken in bulk
+        # the bound prices whole copies of the two points of least cost per
+        # unit, so the search takes no small point one copy at a time
         with shallow_stack_within(0.1):
             assert hull_eval(hull(function_table(rows)), x) == expected
 
@@ -269,3 +311,15 @@ class TestBlowupRegressions:
         with shallow_stack_within(1.0), pytest.raises(InputError, match="more than 10000 points"):
             check_generalized_subadditivity(table)
 
+
+def test_no_function_in_transforms_calls_itself():
+    """The cover search and the witness walk are loops, so no cover is too
+    deep for the recursion limit."""
+    tree = ast.parse(inspect.getsource(transforms))
+    recursive = [
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == f.name for c in ast.walk(f))
+    ]
+    assert recursive == []
