@@ -74,8 +74,10 @@ def linear_table(domain: Sequence, c) -> FunctionTable:
 
 
 def power_table(domain: Sequence, p) -> FunctionTable:
-    """Sample f(t) = t**p on a finite domain; every power must be rational."""
+    """Sample f(t) = t**p (p > 0) on a finite domain; every power must be rational."""
     p = parse_exact(p)
+    if p <= 0:
+        raise NonpositiveExponent(f"exponent must be positive, got {p}")
     rows = []
     for a in domain:
         a = parse_exact(a)
@@ -142,50 +144,54 @@ def _least_per_unit(items):
     return best
 
 
-def _integer_items(positives) -> tuple[list[tuple[int, int]], tuple[int, int], Fraction, int]:
-    """(items, star, per_unit, scale): item j is (a_j * per_unit, f(a_j) * scale).
+def _integer_items(positives) -> tuple[list[tuple[int, int]], Fraction, int]:
+    """(items, per_unit, scale): item j is (a_j * per_unit, f(a_j) * scale).
 
     per_unit is the points' common denominator over the gcd of the scaled
     points, scale the values' common denominator.  A multiset covers x iff
-    its sizes sum to at least ceil(x * per_unit).  star is the item of least
-    cost per unit, the smallest on ties.
+    its sizes sum to at least ceil(x * per_unit).
     """
     den = lcm(*(a.denominator for a, _ in positives))
     sizes = [a.numerator * (den // a.denominator) for a, _ in positives]
     unit = gcd(*sizes)
     scale = lcm(*(v.denominator for _, v in positives))
     costs = [v.numerator * (scale // v.denominator) for _, v in positives]
-    items = [(a // unit, c) for a, c in zip(sizes, costs)]
-    star = _least_per_unit(items)
-    return items, star, Fraction(den, unit), scale
+    return [(a // unit, c) for a, c in zip(sizes, costs)], Fraction(den, unit), scale
 
 
-def _cheapest(items, star, need: int, memo: dict) -> int:
-    """Least cost of a multiset of items whose sizes sum to at least need.
+def _covers(items):
+    """The cover engine of one table: cheapest(need) is the least cost of a
+    multiset of items (in size order) whose sizes sum to at least need.
 
-    A best-first (A*) search over the need left, keyed by cost plus the
-    cheapest relaxed cover of the need left (Martello and Toth, Knapsack
-    Problems, 1990, ch. 3): whole copies of star, fewer than none allowed;
-    whole copies of second, the next item by cost per unit, at its cost up
-    to one more than fit in star and at star's rate past that; the rest at
-    third's cost per unit, the next.  No step costs less than it lowers
-    that bound, so the first node popped with nothing left is a cheapest
-    cover, and a need popped once is closed.  A need in memo ends its
-    branch; answers go there.  No node is pushed unless its key is below
-    that of every cover pushed.  Steps take each item but star once, and
-    star, second and third as many times as fit.  The bound is priced once
-    per residue mod star, as a copy of star moves it by its cost.
+    Let star = (a*, c*) be the item of least cost per unit, the smallest on
+    ties.  Any a* other items of a cover hold some that sum to a multiple of
+    a*, which copies of star replace at no more cost; so a cheapest cover of
+    t > (a* - 1) * max(A) contains star, and best(t) = best(t - a*) + c*
+    (Gilmore and Gomory, "The theory and computation of knapsack functions",
+    1966).  Whole periods are added in closed form, and what is left is
+    priced by a best-first (A*) search over the need left, keyed by cost
+    plus the cheapest relaxed cover of that need (Martello and Toth,
+    Knapsack Problems, 1990, ch. 3): whole copies of star, fewer than none
+    allowed; whole copies of second, the next item by cost per unit, at its
+    cost up to one more than fit in star and at star's rate past that; the
+    rest at third's cost per unit, the next.  No step costs less than it
+    lowers that bound, so the first node popped with nothing left is a
+    cheapest cover, and a need popped once is closed.  An answered need ends
+    its branch.  No node is pushed unless its key is below that of every
+    cover pushed.  Steps take each item but star once, and star, second and
+    third as many times as fit.  A copy of star moves the bound by its cost,
+    so the bound is priced once per residue mod a*.  The constants, the
+    residue prices and the answers last as long as the engine.
     """
-    if need <= 0 or need in memo:
-        return memo.get(need, 0)
-    a_star, c_star = star
+    a_star, c_star = star = _least_per_unit(items)
     others = [item for item in items if item != star]
     a2, c2 = second = _least_per_unit(others or [star])
     rest = [item for item in others if item != second]
     a3, c3 = third = _least_per_unit(rest) if rest else (1, c_star)  # no third: what is left costs a star
-    bulk, unit, g, excesses = [second, third][: len(others)], a_star * a3, gcd(a_star, a2), {}
+    bulk, unit, g, excesses, memo = [second, third][: len(others)], a_star * a3, gcd(a_star, a2), {}, {}
     rate, copies = a3 * c_star, min(a_star // g, a_star // a2 + 1)  # of second at its cost; more at star's rate
     extra, dear = c2 * unit - a2 * rate, a_star * c3 - rate  # a copy of second, a unit of third above star's rate
+    periodic_from = (a_star - 1) * items[-1][0] + 1
 
     def over(s):  # s left over, by third or one more star, above star's rate, times unit
         return min(s * dear, (a_star - s) * rate)
@@ -206,27 +212,34 @@ def _cheapest(items, star, need: int, memo: dict) -> int:
             excesses[part] = excess(part)
         return cost * unit + left * rate + excesses[part]
 
-    alone = -(-need // a_star) * c_star  # copies of star alone
-    bound = alone * unit  # the least key of a cover pushed so far
-    heap, closed = [(0, need, 0), (bound, 0, alone)], set()  # the root needs no bound
-    while True:
-        _, left, cost = heappop(heap)
-        if left <= 0:
-            memo[need] = cost
-            return cost
-        if left in closed:
-            continue
-        closed.add(left)
-        if left in memo:
-            steps = [(left, memo[left])]
-        else:
-            n = max(left // a_star, 1)
-            steps = others + [(m * a, m * c) for a, c in bulk if (m := left // a) > 1] + [(n * a_star, n * c_star)]
-        for a, c in steps:
-            if left - a not in closed and (k := key(cost + c, left - a)) < bound:
-                heappush(heap, (k, left - a, cost + c))
-                if left - a <= 0:
-                    bound = k
+    def cheapest(need: int) -> int:
+        periods = max(0, (need - periodic_from) // a_star + 1)
+        need -= periods * a_star
+        if need <= 0 or need in memo:
+            return memo.get(need, 0) + periods * c_star
+        alone = -(-need // a_star) * c_star  # copies of star alone
+        bound = alone * unit  # the least key of a cover pushed so far
+        heap, closed = [(0, need, 0), (bound, 0, alone)], set()  # the root needs no bound
+        while True:
+            _, left, cost = heappop(heap)
+            if left <= 0:
+                memo[need] = cost
+                return cost + periods * c_star
+            if left in closed:
+                continue
+            closed.add(left)
+            if left in memo:
+                steps = [(left, memo[left])]
+            else:
+                n = max(left // a_star, 1)
+                steps = others + [(m * a, m * c) for a, c in bulk if (m := left // a) > 1] + [(n * a_star, n * c_star)]
+            for a, c in steps:
+                if left - a not in closed and (k := key(cost + c, left - a)) < bound:
+                    heappush(heap, (k, left - a, cost + c))
+                    if left - a <= 0:
+                        bound = k
+
+    return cheapest
 
 
 _WITNESS_POINTS = 10_000
@@ -239,9 +252,9 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
     covering multiset, the lexicographically smallest one on ties.  Zero
     domain points never help a cover, so covers are drawn from the positive
     domain; for x = 0 single elements already settle the question.  The
-    cheapest cover of each x is searched in ascending order, with one memo
-    of answers, which the witness walk shares.  A witness of more than
-    10,000 points raises InputError.
+    cheapest cover of each x is searched in ascending order on one cover
+    engine, which the witness walk shares.  A witness of more than 10,000
+    points raises InputError.
     """
     if not f.entries:
         raise EmptyDomain("the table has no entries")
@@ -256,11 +269,11 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
             return SubadditivityVerdict(False, Fraction(0), (best[0],), f0, best[1])
     if not positives:
         return SubadditivityVerdict(True)
-    items, star, _, scale = _integer_items(positives)
-    memo: dict = {}
+    items, _, scale = _integer_items(positives)
+    cheapest = _covers(items)
     for (x, fx), (need, cost) in zip(positives, items):
-        cheapest = _cheapest(items, star, need, memo)
-        if cheapest < cost:
+        least = cheapest(need)
+        if least < cost:
             # The lexicographically smallest cheapest cover: its first item is
             # the smallest that starts a cheapest cover, and any cheapest
             # cover of the rest completes it with no smaller item (one would
@@ -275,14 +288,11 @@ def check_generalized_subadditivity(f: FunctionTable) -> SubadditivityVerdict:
                         f"the cheapest cover of {x} has more than {_WITNESS_POINTS} points, "
                         "too many to list as a witness"
                     )
-                best = _cheapest(items, star, t, memo)
-                j = next(
-                    i for i in range(j, len(items))
-                    if items[i][1] + _cheapest(items, star, t - items[i][0], memo) == best
-                )
+                best = cheapest(t)
+                j = next(i for i in range(j, len(items)) if items[i][1] + cheapest(t - items[i][0]) == best)
                 multiset.append(positives[j][0])
                 t -= items[j][0]
-            return SubadditivityVerdict(False, x, tuple(multiset), fx, Fraction(cheapest, scale))
+            return SubadditivityVerdict(False, x, tuple(multiset), fx, Fraction(least, scale))
     return SubadditivityVerdict(True)
 
 
@@ -306,28 +316,15 @@ def hull(f: FunctionTable) -> SubadditiveHull:
 
 
 def hull_eval(h: SubadditiveHull, x) -> Fraction:
-    """Evaluate the extension at x >= 0: min total cost of a cover of x.
-
-    Let a* be the item of least cost per unit (the smallest on ties).  Any
-    a* other items of a cover hold some that sum to a multiple of a*, which
-    copies of a* replace at no more cost; so a cheapest cover of t >
-    (a* - 1) * max(A) contains a*, and best(t) = best(t - a*) + cost(a*).
-    Whole periods are added in closed form, so the need left is at most
-    (a* - 1) * max(A), whatever x is (Gilmore and Gomory, "The theory and
-    computation of knapsack functions", 1966), and one search prices it.
-    """
+    """Evaluate the extension at x >= 0: min total cost of a cover of x,
+    whose whole periods the cover engine adds in closed form."""
     x = parse_exact(x)
     if x < 0:
         raise InputError("the extension is defined on nonnegative values")
     if x == 0:
         return Fraction(0)
-    items, star, per_unit, scale = _integer_items(h.base.positive_entries())
-    need = ceil(x * per_unit)
-    a_star, c_star = star
-    periodic_from = (a_star - 1) * items[-1][0] + 1
-    periods = max(0, (need - periodic_from) // a_star + 1)
-    cheapest = _cheapest(items, star, need - periods * a_star, {})
-    return Fraction(cheapest + periods * c_star, scale)
+    items, per_unit, scale = _integer_items(h.base.positive_entries())
+    return Fraction(_covers(items)(ceil(x * per_unit)), scale)
 
 
 class MetricPreservingVerdict(_Record):

@@ -1,9 +1,9 @@
 """The integer cover engine behind generalized subadditivity and the hull.
 
 Verdicts (x, multiset, lhs, rhs) and hull values are compared with the
-brute-force cover oracle, with the search's memo of answers filled row-wise
-before each need and with a fresh memo for every need, and large covers with
-a knapsack over exact sums; the search alone with a dense row of every need.
+brute-force cover oracle and large covers with a knapsack over exact sums,
+with the engine's answers filled row-wise before each need and with a fresh
+engine for every need; the engine with a dense row of every need, both ways.
 Deep, large, wide and near-linear covers run under a recursion limit just
 above the current stack depth, with a time bound, and one of them also with
 a memory bound; no function in `transforms` calls itself.
@@ -53,21 +53,26 @@ def shallow_stack_within(seconds):
 
 @contextmanager
 def engine(name):
-    """Run the block with the memo of answers filled for every need from 1 up
-    before each search ("row"), or with an empty memo for each search, so
+    """Run the block with one cover engine that answers every need from 1 up
+    before each need asked ("row"), or with a fresh engine for each need, so
     that every answer comes from the best-first search alone ("search")."""
-    cheapest = transforms._cheapest
+    covers = transforms._covers
 
-    def row(items, star, need, memo):
-        for t in range(1, need):
-            cheapest(items, star, t, memo)
-        return cheapest(items, star, need, memo)
+    def row(items):
+        cheapest = covers(items)
 
-    def search(items, star, need, memo):
-        return cheapest(items, star, need, {})
+        def filled(need):
+            for t in range(1, need):
+                cheapest(t)
+            return cheapest(need)
+
+        return filled
+
+    def search(items):
+        return lambda need: covers(items)(need)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transforms, "_cheapest", row if name == "row" else search)
+        mp.setattr(transforms, "_covers", row if name == "row" else search)
         yield
 
 
@@ -138,17 +143,19 @@ class TestOracleParity:
         with engine(name):
             assert hull_eval(h, x) == expected
 
+    @pytest.mark.parametrize("name", ENGINES)
     @given(tables, st.lists(st.fractions(min_value=0, max_value=40, max_denominator=7), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_hull_matches_exact_sums_beyond_the_period_start(self, table, xs):
+    def test_hull_matches_exact_sums_beyond_the_period_start(self, name, table, xs):
         rows = [(0, 0)] + [(a, v + F(1, 5)) for a, v in table.positive_entries()]
         if len(rows) == 1:
             return
         h = hull(function_table(rows))
         xs = [x for x in xs if x > 0]
         expected = exact_sum_cover_costs(h.base.positive_entries(), xs) if xs else {}
-        for x in xs:
-            assert hull_eval(h, x) == expected[x]
+        with engine(name):
+            for x in xs:
+                assert hull_eval(h, x) == expected[x]
 
     @given(
         st.lists(st.tuples(st.integers(1, 60), st.integers(0, 100)), min_size=1, max_size=5, unique_by=lambda e: e[0]),
@@ -160,11 +167,12 @@ class TestOracleParity:
         # sizes far apart, so the copies of the second-best item per unit
         # that the bound prices leave different counts of the best one
         items = sorted(items)
-        star = transforms._least_per_unit(items)
         best = [0] * (need + 1)
         for t in range(1, need + 1):
             best[t] = min(c + best[max(t - a, 0)] for a, c in items)
-        assert [transforms._cheapest(items, star, t, {}) for t in range(1, need + 1)] == best[1:]
+        cheapest = transforms._covers(items)
+        assert [cheapest(t) for t in range(1, need + 1)] == best[1:]
+        assert [transforms._covers(items)(t) for t in range(1, need + 1)] == best[1:]
 
 
 class TestDeepAndLargeCovers:

@@ -78,6 +78,11 @@ class TestFunctionTable:
         with pytest.raises(ValueError):
             power_table([0, 2], F(1, 2))
 
+    @pytest.mark.parametrize("p", ["-1/2", "0"])
+    def test_power_table_refuses_a_nonpositive_exponent(self, p):
+        with pytest.raises(NonpositiveExponent, match=f"exponent must be positive, got {p}"):
+            power_table(["0", "1", "4"], p)
+
 
 class TestGeneralizedSubadditivity:
     def test_reference_violation(self):
