@@ -28,30 +28,24 @@ DEFAULT_EPSILON = 1e-9
 class _Record:
     """Base of the frozen value types, in place of a frozen dataclass: the
     annotations, bases' first, are the fields and class attributes their
-    defaults.  Construction, ``__post_init__``, ``==``, ``hash``, ``repr``
-    and refused assignment behave as on the dataclass; ``cached_property``
-    keeps its value in the instance ``__dict__``."""
+    defaults.  Each class gets an ``__init__`` compiled from its fields, as
+    ``dataclasses`` builds one, so Python binds a call, words its
+    ``TypeError`` and shows the signature; it sets the fields and calls
+    ``__post_init__``.  ``==``, ``hash``, ``repr`` and refused assignment
+    behave as on the dataclass; ``cached_property`` keeps its value in the
+    instance ``__dict__``."""
 
     def __init_subclass__(cls):
         names = tuple(dict.fromkeys(k for c in cls.__mro__[::-1] for k in c.__dict__.get("__annotations__", ())))
-        defaults = tuple(getattr(cls, k, _MISSING) for k in names)
-        n, fewest = len(names), defaults.count(_MISSING)
-        slots, post = tuple(enumerate(names)), getattr(cls, "__post_init__", None)
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n:
-                args = args + defaults[len(args) :] if not kwargs and fewest <= len(args) < n else _bind(cls, args, kwargs)
-            if n > 1:  # one dict pass costs less than a call per field
-                d = self.__dict__
-                for i, k in slots:
-                    d[k] = args[i]
-            elif n:  # as a dataclass does: the compact layout keeps reads and method calls fast
-                _setattr(self, names[0], args[0])
-            if post is not None:
-                post(self)
-
-        key = attrgetter(*names) if n > 1 else lambda self: tuple(getattr(self, k) for k in names)
-        cls.__init__, cls._fields, cls._defaults, cls._key = __init__, names, defaults, staticmethod(key)
+        post = getattr(cls, "__post_init__", None)
+        params = "".join(f", {k}=__cls.{k}" if hasattr(cls, k) else f", {k}" for k in names)
+        body = [f"__set(self, {k!r}, {k})" for k in names] + ["__post(self)"] * (post is not None)
+        scope = {"__cls": cls, "__set": object.__setattr__, "__post": post}
+        exec(f"def __init__(self{params}):\n    " + "\n    ".join(body or ["pass"]), scope)
+        init = scope["__init__"]
+        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+        key = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, k) for k in names)
+        cls.__init__, cls._fields, cls._key = init, names, staticmethod(key)
 
     def __eq__(self, other):
         return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
@@ -67,25 +61,6 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-_MISSING, _setattr = object(), object.__setattr__
-
-
-def _bind(cls, args, kwargs) -> tuple:
-    """The fields of a call with keywords or missing fields, or Python's TypeError."""
-    where, names, defaults = f"{cls.__qualname__}.__init__()", cls._fields, cls._defaults
-    values, low, high = dict(zip(names, args)), defaults.count(_MISSING) + 1, len(names) + 1
-    if len(args) >= high:
-        takes = f"from {low} to {high} positional arguments" if low < high else f"{high} positional argument{'s' * (high > 1)}"
-        raise TypeError(f"{where} takes {takes} but {len(args) + 1} were given")
-    for key in kwargs:
-        if key in values or key not in names:
-            raise TypeError(f"{where} got {'multiple values for' if key in values else 'an unexpected keyword'} argument {key!r}")
-    if missing := [repr(k) for k, d in zip(names, defaults) if d is _MISSING and k not in values and k not in kwargs]:
-        listed = f"{', '.join(missing[:-1])}{',' * (len(missing) > 2)} and {missing[-1]}" if missing[1:] else missing[0]
-        raise TypeError(f"{where} missing {len(missing)} required positional argument{'s' * (len(missing) > 1)}: {listed}")
-    return tuple(map({**values, **kwargs}.get, names, defaults))
 
 
 def parse_exact(text) -> Fraction:

@@ -139,7 +139,10 @@ class WeakSimilarity(_Record):
         return dict(self.mapping)
 
     def apply(self, label: str) -> str:
-        return self.as_map()[label]
+        try:
+            return self.as_map()[label]
+        except KeyError:
+            raise LabelMismatch(f"unknown label {label!r}") from None
 
 
 def increasing_bijection(d1: DistanceSet, d2: DistanceSet) -> ScalingFunction:

@@ -346,7 +346,7 @@ class TestFamilyGen:
         out2 = str(tmp_path / "two.json")
         run(["family", "gen", "--name", "random_metric", "--n", "6", "--seed", "3", "--out", out1])
         run(["family", "gen", "--name", "random_metric", "--n", "6", "--seed", "3", "--out", out2])
-        assert open(out1).read() == open(out2).read()
+        assert (tmp_path / "one.json").read_text() == (tmp_path / "two.json").read_text()
 
 
 def written(rep, *paths) -> list:
@@ -605,7 +605,8 @@ class TestCorruptMorphismFile:
     def test_swapped_scaling_entries_are_an_input_error(self, capsys, files, tmp_path):
         morph_path = str(tmp_path / "m.json")
         invoke(capsys, "morph", "find", "--x", files["x"], "--y", files["y"], "--out", morph_path)
-        obj = json.load(open(morph_path))
+        with open(morph_path) as fh:
+            obj = json.load(fh)
         obj["scaling"][1], obj["scaling"][2] = obj["scaling"][2], obj["scaling"][1]
         with open(morph_path, "w") as fh:
             json.dump(obj, fh)
@@ -615,7 +616,8 @@ class TestCorruptMorphismFile:
     def test_wrong_map_is_a_false_verdict(self, capsys, files, tmp_path):
         morph_path = str(tmp_path / "m.json")
         invoke(capsys, "morph", "find", "--x", files["x"], "--y", files["y"], "--out", morph_path)
-        obj = json.load(open(morph_path))
+        with open(morph_path) as fh:
+            obj = json.load(fh)
         obj["map"] = {"a": "r", "b": "q", "c": "p"}  # wrong assignment, still a bijection
         with open(morph_path, "w") as fh:
             json.dump(obj, fh)

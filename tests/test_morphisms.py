@@ -10,6 +10,7 @@ from weaksim import (
     CardinalityMismatch,
     DistanceSet,
     DomainMismatch,
+    LabelMismatch,
     RATIONAL,
     ScalingFunction,
     SpaceMismatch,
@@ -96,6 +97,13 @@ class TestFindAndEnumerate:
         assert ws.classification.kind == "similarity"
         assert ws.classification.ratio == 10
         assert verify(X123, Y123_SCALED, ws.as_map(), ws.scaling).ok
+
+    def test_apply_refuses_a_label_outside_the_source_as_a_space_does(self):
+        ws = find_weak_similarity(X123, Y123_SCALED)
+        assert ws.apply("b") == "q"
+        for lookup in (ws.apply, X123.index):
+            with pytest.raises(LabelMismatch, match="^unknown label 'zz'$"):
+                lookup("zz")
 
     def test_distance_set_size_mismatch(self):
         X = space3(1, 2, 3)

@@ -211,6 +211,17 @@ def test_records_refuse_missing_and_unknown_arguments(name):
             cls()
 
 
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_records_show_their_fields_as_their_signature(name):
+    cls = type(_records()[name][0]())
+    fields, required = RECORD_FIELDS[name]
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert [p.default for p in params] == [inspect.Parameter.empty] * required + [getattr(cls, k) for k in fields[required:]]
+    assert cls.__init__.__qualname__ == f"{name}.__init__" and cls.__init__.__module__ == cls.__module__
+
+
 def test_missing_arguments_are_listed_as_python_lists_them():
     with pytest.raises(TypeError, match=r"^Space\.__init__\(\) missing 3 required positional arguments: 'labels', 'matrix', and 'backend'$"):
         weaksim.Space()
