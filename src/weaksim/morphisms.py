@@ -11,17 +11,18 @@ canonical-order backtracking on bitmasks of candidates places the rest,
 up to the first leaf.  Where that walk's dead ends cost as much as
 refining again, a search node individualizes its point against each
 candidate and refines from that partition, which prunes whole subtrees
-on spaces that refinement alone cannot split.  Once the first point's
-candidate has failed, a later candidate that an automorphism of Y, found
-on demand by the same engine from Y to Y, carries it to fails too, so it
-is skipped.  Every other weak similarity is that one composed with an
-isometry of X, so enumeration builds Aut(X) as a stabilizer chain by
-Sims's backtrack, each generator read off another leaf of the same X → Y
-search, and walks that coset.  The walk finishes each map as it goes, by
-one gather from a table of (source, target) entries built once per call,
-so every result shares its entries; the CLI walks the same coset with
-entries rendered as JSON or text lines, once phi and the generators are
-verified.
+on spaces that refinement alone cannot split.  Once a candidate of the
+first point a walk places has failed, a later candidate that a known
+automorphism of Y carries it to fails too, so it is skipped; from the
+root, the same engine finds those from Y to Y on demand.  Every other
+weak similarity is that one composed with an isometry of X, so
+enumeration builds Aut(X) as a stabilizer chain by Sims's backtrack,
+each level running the same X → Y walk below the first leaf's prefix,
+pruned by the group found so far, and walks that coset.  The coset walk
+finishes each map as it goes, by one gather from a table of (source,
+target) entries built once per call, so every result shares its
+entries; the CLI walks the same coset with entries rendered as JSON or
+text lines, once phi and the generators are verified.
 
 Order is deterministic: results arrive in lexicographic order of the
 mapping, source labels sorted and images compared by target label.
@@ -159,8 +160,10 @@ def increasing_bijection(d1: DistanceSet, d2: DistanceSet) -> ScalingFunction:
 
 
 def _normalize_mapping(mapping: MappingLike, source: Space, target: Space) -> dict:
-    pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
-    m = {str(a): str(b) for a, b in pairs}
+    pairs = [(str(a), str(b)) for a, b in (mapping.items() if isinstance(mapping, Mapping) else mapping)]
+    m = dict(pairs)
+    if len(m) != len(pairs):
+        raise LabelMismatch("mapping gives a source label more than one image")
     if set(m) != set(source.labels):
         raise LabelMismatch("mapping keys must be exactly the source labels")
     if set(m.values()) != set(target.labels) or len(set(m.values())) != len(m):
@@ -373,17 +376,18 @@ class _Search:
     level's subtrees each cost less than a refinement, as every subtree
     lies in one of them.
 
-    A walk from the root also prunes its first level by automorphisms of
-    Y (McKay & Piperno 2014; Seress 2003): once a candidate's subtree has
-    failed, a later candidate is walked only if no automorphism carries a
-    failed candidate to it.  The mirror search, from Y to Y on the same
-    free targets, rank maps and colours, looks for one on demand, after
-    the candidate's own refinement if its level refines, and each one
-    found joins its cycles into the orbits known.  The mirror's searches
-    for a candidate may read as much as the walk has per failed candidate,
-    so they at most about double the walk, and a walk whose failed
-    subtrees each cost less than a refinement never searches.  Nor does a
-    walk whose first subtree succeeds; neither builds the mirror.
+    A walk also prunes the first level it places by automorphisms of Y
+    (McKay & Piperno 2014; Seress 2003): once a candidate's subtree has
+    failed, a later candidate is walked only if no known automorphism
+    carries a failed candidate to it.  At a chain level those are the
+    group found so far.  From the root, the mirror search, from Y to Y on
+    the same free targets, rank maps and colours, looks for one on
+    demand, after the candidate's own refinement if its level refines,
+    and each one found joins its cycles into the orbits known.  The
+    mirror's searches for a candidate may read as much as the walk has per
+    failed candidate, so they at most about double the walk, and a walk
+    whose failed subtrees each cost less than a refinement never searches.
+    Nor does a walk whose first subtree succeeds; neither builds the mirror.
     """
 
     def __init__(self, X: Space, Y: Space, cells: list, colorsX: list[int], colorsY: list[int], reads: int):
@@ -490,7 +494,9 @@ class _Search:
             cell_bits[colorsY[y]] = cell_bits.get(colorsY[y], 0) | 1 << q
         return [cell_bits[colorsX[x]] for x in self.points], (cells, colorsX)
 
-    def first_leaf(self, image: list[int], masks=None, base: int = 0, part=None, limit=None) -> Optional[list[int]]:
+    def first_leaf(
+        self, image: list[int], masks=None, base: int = 0, part=None, limit=None, orbits=None
+    ) -> Optional[list[int]]:
         """The images (bits) of the free points at the first leaf below a
         consistent prefix of images of the first free points, or None.
         ``masks`` are the candidates of every free point given the first
@@ -501,15 +507,20 @@ class _Search:
         recursion limit.  With a ``limit``, a walk that has read more at a
         dead end gives up and returns None.
 
-        From the root (no masks given), a first point's candidate whose
-        subtree failed rules out its orbit under the automorphisms of Y: a
-        later candidate is skipped when an automorphism, found on demand,
-        carries a failed candidate to it.  ``walked`` keeps the ranks the
-        walk read, which prices the mirror's walks."""
+        A candidate of the first point placed (``len(image)``) whose
+        subtree failed is ruled out in ``orbits``, automorphisms of Y on
+        the free targets, and so is a later one in its orbit.  The chain
+        passes the group it has found so far.  From the root (no masks
+        given) the walk makes its own orbits, and the mirror adds to them
+        on demand; at a chain level the mirror would be unsound, as it
+        would carry phi's own image, a success, and skip generators.
+        ``walked`` keeps the ranks the walk read, which prices the
+        mirror's walks."""
         rows, at_rank = self.rows, self.at_rank
         f, k = len(rows), len(image)
-        orbits = None
-        if masks is None:
+        top = k  # the first level this walk places, pruned by ``orbits``
+        mirror = masks is None  # from the root, Aut(Y) is searched on demand
+        if mirror:
             masks, orbits = self.cells, _Orbits(len(self.targets))
         stack: list[int] = []  # the untried bits of each level
         # each frame: masks, the placed points they account for, and the
@@ -538,12 +549,12 @@ class _Search:
                         masks, base = frames[-1][:2]
                     below[k] += reads
                     taken[k] += 1
-                    if orbits and not k:
+                    if orbits and k == top:
                         orbits.ruled_out.append(q)
                 low = bits & -bits
                 bits ^= low
                 q = low.bit_length() - 1
-                first = orbits and not k
+                first = orbits and k == top
                 if first and orbits.dead(q):
                     continue
                 spent = below[k]
@@ -556,7 +567,7 @@ class _Search:
                         if first:
                             orbits.ruled_out.append(q)
                         continue
-                if first and self._carried(orbits, q, reads):
+                if first and mirror and self._carried(orbits, q, reads):
                     continue
                 if found is None:
                     below[k] = spent - reads
@@ -614,55 +625,41 @@ def _stabilizer_chain(search: _Search, phi: list[int]) -> list[dict]:
     (c: (g, p) for the edge c = g[p], root: None) of the basic orbits of
     more than one point.
 
-    Every leaf of the search is phi ∘ g for an isometry g of X, so a leaf
-    psi gives the automorphism g = phi⁻¹ ∘ psi (McKay & Piperno 2014).
-    The base is X's free points in label order; refinement is
-    isomorphism-invariant, so automorphisms fix the lone ones.  Levels run
-    deepest first, so at level i every generator found so far fixes
-    b_1..b_{i-1}, and one union-find of X's points, joined by each
-    generator, holds the orbits of the group found so far (McKay 1981).
-    At level i, each image c of b_i other than phi(b_i) that fits phi on
-    b_1..b_{i-1}, where phi⁻¹(c) is in neither b_i's orbit nor a failed
-    image's, is extended to its first leaf, a new generator taking b_i to
-    phi⁻¹(c): a strong generating set by construction.  Once a level is
-    done, one breadth-first pass from b_i over the generators (orbit size
-    times their number) builds its tree, a point after its edge's other end.
-    The candidate masks given phi on that prefix are built once, in one
-    pass down to the deepest level that has a candidate, and every leaf at
-    a level starts from them.
+    A leaf psi of the search is phi ∘ g for the isometry g = phi⁻¹ ∘ psi
+    of X (McKay & Piperno 2014), and h = psi ∘ phi⁻¹ is an automorphism of
+    Y on the free targets.  The base is X's free points in label order;
+    refinement is isomorphism-invariant, so automorphisms fix the lone
+    ones.  Levels run deepest first, so at level i every generator found
+    so far fixes b_1..b_{i-1}, and one union-find of the free targets,
+    joined by each h, holds the orbits of the group found so far (McKay
+    1981).  Level i runs the search's walk below phi(b_1..b_{i-1}) until
+    it finds no leaf, its first level (b_i's) pruned by those orbits with
+    phi(b_i)'s ruled out, so each leaf is a new generator moving b_i out
+    of its orbit so far: a strong generating set by construction.  Once a
+    level is done, one breadth-first pass from b_i over the generators
+    (orbit size times their number) builds its tree, a point after its
+    edge's other end.  The candidate masks given phi on each prefix are
+    built once, down to the deepest level with more than phi's image.
     """
-    free, cells, rows, at_rank = search.free, search.cells, search.rows, search.at_rank
-    f = len(free)
-    top = next(  # the deepest b_i that another point sees as b_i sees b_1..b_{i-1}
-        (i for i in reversed(range(f)) for c in range(i + 1, f) if cells[c] == cells[i] and rows[c][:i] == rows[i][:i]),
-        -1,
-    )
-    fixed = [cells]  # fixed[i][k]: the candidates of point k once b_1..b_i go where phi takes them
-    for i in range(top):
-        prev, ranks = fixed[-1], at_rank[phi[i]]
-        fixed.append(prev[: i + 1] + [m & ranks.get(row[i], 0) for m, row in zip(prev[i + 1 :], rows[i + 1 :])])
+    free, rows, at_rank = search.free, search.rows, search.at_rank
+    fixed, masks = [], search.cells  # fixed[i][k]: the candidates of point k once b_1..b_i go where phi takes them
+    for i in range(len(free)):
+        fixed.append(masks)
+        if not any(m & (m - 1) for m in masks[i + 1 :]):
+            break  # no deeper level has more than phi's image
+        ranks = at_rank[phi[i]]
+        masks = masks[: i + 1] + [m & ranks.get(row[i], 0) for m, row in zip(masks[i + 1 :], rows[i + 1 :])]
     back = {p: a for a, p in enumerate(search._leaf(phi))}  # phi⁻¹, from Y's label order to X's
-    orbits = _Orbits(len(back))
+    inverse = sorted(range(len(phi)), key=phi.__getitem__)  # phi⁻¹ on the free targets
+    orbits = _Orbits(len(phi))
     gens: list[list[int]] = []
     chain = []
-    for i in reversed(range(top + 1)):
+    for i in reversed(range(len(fixed))):
         masks = fixed.pop()
-        orbits.ruled_out = [free[i]]  # b_i's own orbit, then the images that failed
-        bits = masks[i] ^ 1 << phi[i]  # the targets that see phi(b_1..b_{i-1}) as phi(b_i) does
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            c = low.bit_length() - 1
-            x = back[search.target_at[c]]
-            if orbits.dead(x):
-                continue
-            image = search.first_leaf([*phi[:i], c], masks, i)
-            if image is None:
-                orbits.ruled_out.append(x)
-                continue
-            g = [back[p] for p in search._leaf(image)]
-            gens.append(g)
-            orbits.join(g)
+        orbits.ruled_out = [phi[i]]  # phi(b_i)'s own orbit, then the images that failed
+        while (image := search.first_leaf(phi[:i], masks, i, orbits=orbits)) is not None:
+            orbits.join(list(map(image.__getitem__, inverse)))  # psi ∘ phi⁻¹
+            gens.append([back[p] for p in search._leaf(image)])
         tree, queue = {free[i]: None}, [free[i]]
         for p in queue:  # breadth first
             for g in gens:

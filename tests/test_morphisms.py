@@ -105,6 +105,19 @@ class TestFindAndEnumerate:
             with pytest.raises(LabelMismatch, match="^unknown label 'zz'$"):
                 lookup("zz")
 
+    def test_a_source_label_given_two_images_is_refused(self):
+        X = new_space(["a", "b"], [[0, 1], [1, 0]])
+        Y = new_space(["x", "y"], [[0, 2], [2, 0]])
+        scaling = increasing_bijection(distance_set(Y), distance_set(X))
+        assert verify(X, Y, [("a", "x"), ("b", "y")], scaling).ok
+        for pairs in ([("a", "y"), ("a", "x"), ("b", "y")], [("a", "x"), ("a", "x"), ("b", "y")]):
+            with pytest.raises(LabelMismatch, match="more than one image"):
+                verify(X, Y, pairs, scaling)
+            with pytest.raises(LabelMismatch, match="more than one image"):
+                build_realization(X, Y, pairs, scaling)
+            with pytest.raises(LabelMismatch, match="more than one image"):
+                pullback(X, Y, pairs)
+
     def test_distance_set_size_mismatch(self):
         X = space3(1, 2, 3)
         Y = space3(1, 1, 1, labels=("p", "q", "r"))

@@ -510,6 +510,8 @@ def cfi_graph(base_edges, twisted):
 
 
 K4 = list(itertools.combinations(range(4), 2))
+K33 = [(u, v) for u in range(3) for v in range(3, 6)]
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
 
 
 def test_cfi_pair_over_k4():
@@ -528,6 +530,24 @@ def test_cfi_pair_over_k4():
     found = enumerate_weak_similarities(X, same, limit=None)
     assert len(found) == 24 * 2**3
     assert all(verify(X, same, ws.as_map(), ws.scaling).ok for ws in found)
+
+
+def test_cfi_enumerations_within_bounds():
+    """The Sims chain's failing images are walked as the first leaf's are,
+    pruned by the group found so far and refined where that pays.  Every
+    map of CFI(K3,3) (60 points, |Aut| = 72 * 2^4) takes about 1 s on a
+    2-vCPU guest, two maps of CFI(Petersen) (100 points) about 5 s; a
+    chain that walked each failing image plainly took 10-12 s and 85-102 s."""
+    X = two_distance_space(cfi_graph(K33, False), 1, 2)
+    Y = two_distance_space(cfi_graph(K33, False), 1, 2, seed=7)
+    found, took = elapsed(lambda: enumerate_weak_similarities(X, Y, limit=None))
+    assert len(found) == 1152 and took < 5
+    assert all(verify(X, Y, ws.as_map(), ws.scaling).ok for ws in found)
+    assert enumerate_weak_similarities(X, Y, limit=2) == found[:2]
+    X = two_distance_space(cfi_graph(PETERSEN, False), 1, 2)
+    Y = two_distance_space(cfi_graph(PETERSEN, False), 1, 2, seed=7)
+    found, took = elapsed(lambda: enumerate_weak_similarities(X, Y, limit=2))
+    assert len(found) == 2 and took < 30
 
 
 def cycle_union(lengths, seed=None):
